@@ -1,6 +1,14 @@
 #include "src/crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "src/crypto/sha256_internal.h"
+
+#if GUILLOTINE_SHA256_SHANI
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace guillotine {
 
@@ -25,53 +33,145 @@ u64 g_compressions = 0;
 
 }  // namespace
 
-u64 Sha256::compressions() { return g_compressions; }
+namespace sha256_internal {
 
-Sha256::Sha256() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+void CompressScalar(std::array<u32, 8>& state, const u8* data, size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += 64) {
+    u32 w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<u32>(data[i * 4]) << 24) |
+             (static_cast<u32>(data[i * 4 + 1]) << 16) |
+             (static_cast<u32>(data[i * 4 + 2]) << 8) |
+             static_cast<u32>(data[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const u32 s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const u32 s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    u32 a = state[0], b = state[1], c = state[2], d = state[3];
+    u32 e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const u32 s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      const u32 ch = (e & f) ^ (~e & g);
+      const u32 temp1 = h + s1 + ch + kK[i] + w[i];
+      const u32 s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      const u32 maj = (a & b) ^ (a & c) ^ (b & c);
+      const u32 temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
 }
 
-void Sha256::ProcessBlock(const u8* block) {
-  ++g_compressions;
-  u32 w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<u32>(block[i * 4]) << 24) |
-           (static_cast<u32>(block[i * 4 + 1]) << 16) |
-           (static_cast<u32>(block[i * 4 + 2]) << 8) |
-           static_cast<u32>(block[i * 4 + 3]);
+#if GUILLOTINE_SHA256_SHANI
+
+// The SHA-NI round instructions keep the working variables as two vectors,
+// ABEF and CDGH (most significant lane first); the message schedule runs four
+// words per vector. The state is repacked once per call, not once per block,
+// so a multi-block run stays in registers.
+__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
+    std::array<u32, 8>& state, const u8* data, size_t nblocks) {
+  // Byte-swaps each 32-bit lane: message words are big-endian.
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  for (; nblocks > 0; --nblocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i msg[4];
+    for (int i = 0; i < 4; ++i) {
+      msg[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)), bswap);
+    }
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      // Words 4i..4i+3 overwrite words 4i-16..4i-13 in place.
+      if (i >= 4) {
+        const __m128i prev = msg[(i + 3) % 4];
+        __m128i next = _mm_sha256msg1_epu32(msg[i % 4], msg[(i + 1) % 4]);
+        next = _mm_add_epi32(next, _mm_alignr_epi8(prev, msg[(i + 2) % 4], 4));
+        msg[i % 4] = _mm_sha256msg2_epu32(next, prev);
+      }
+      __m128i wk = _mm_add_epi32(
+          msg[i % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * i])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
   }
-  for (int i = 16; i < 64; ++i) {
-    const u32 s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const u32 s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool CpuHasShaNi() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
+    return false;
   }
-  u32 a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  u32 e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const u32 s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    const u32 ch = (e & f) ^ (~e & g);
-    const u32 temp1 = h + s1 + ch + kK[i] + w[i];
-    const u32 s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    const u32 maj = (a & b) ^ (a & c) ^ (b & c);
-    const u32 temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
+  const bool ssse3 = (ecx & bit_SSSE3) != 0;
+  const bool sse41 = (ecx & bit_SSE4_1) != 0;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
+    return false;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  const bool sha = (ebx & (1u << 29)) != 0;
+  return sha && ssse3 && sse41;
+}
+
+Sha256::CompressFn SelectedCore() {
+  static const Sha256::CompressFn core =
+      CpuHasShaNi() ? CompressShaNi : CompressScalar;
+  return core;
+}
+
+#else
+
+bool CpuHasShaNi() { return false; }
+
+Sha256::CompressFn SelectedCore() { return CompressScalar; }
+
+#endif  // GUILLOTINE_SHA256_SHANI
+
+}  // namespace sha256_internal
+
+Sha256 Sha256WithCore(Sha256::CompressFn core) { return Sha256(core); }
+
+u64 Sha256::compressions() { return g_compressions; }
+
+Sha256::Sha256() : Sha256(sha256_internal::SelectedCore()) {}
+
+Sha256::Sha256(CompressFn core)
+    : core_(core),
+      state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c,
+             0x1f83d9ab, 0x5be0cd19} {}
+
+void Sha256::Compress(const u8* data, size_t nblocks) {
+  g_compressions += nblocks;
+  core_(state_, data, nblocks);
 }
 
 void Sha256::Update(std::span<const u8> data) {
@@ -83,13 +183,14 @@ void Sha256::Update(std::span<const u8> data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == 64) {
-      ProcessBlock(buffer_.data());
+      Compress(buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    ProcessBlock(data.data() + offset);
-    offset += 64;
+  const size_t nblocks = (data.size() - offset) / 64;
+  if (nblocks > 0) {
+    Compress(data.data() + offset, nblocks);
+    offset += nblocks * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -102,18 +203,17 @@ void Sha256::Update(std::string_view data) {
 }
 
 Sha256Digest Sha256::Finalize() {
+  // 0x80, zeros up to 56 mod 64, then the big-endian bit length: the tail
+  // fills the buffered block, or spills into one more when fewer than 9
+  // bytes are left.
   const u64 bit_len = total_len_ * 8;
-  const u8 pad_byte = 0x80;
-  Update(std::span<const u8>(&pad_byte, 1));
-  const u8 zero = 0x00;
-  while (buffer_len_ != 56) {
-    Update(std::span<const u8>(&zero, 1));
+  std::array<u8, 128> tail{};
+  const size_t tail_len = (buffer_len_ < 56 ? 64 : 128) - buffer_len_;
+  tail[0] = 0x80;
+  for (size_t i = 0; i < 8; ++i) {
+    tail[tail_len - 8 + i] = static_cast<u8>(bit_len >> (56 - 8 * i));
   }
-  u8 len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<u8>(bit_len >> (56 - 8 * i));
-  }
-  Update(std::span<const u8>(len_bytes, 8));
+  Update(std::span<const u8>(tail.data(), tail_len));
   Sha256Digest out;
   for (int i = 0; i < 8; ++i) {
     out[i * 4] = static_cast<u8>(state_[i] >> 24);

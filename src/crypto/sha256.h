@@ -1,5 +1,7 @@
 // SHA-256 (FIPS 180-4). Implemented from scratch; used for attestation
-// measurements, certificate fingerprints, and SimSig digests.
+// measurements, certificate fingerprints, and SimSig digests. The compression
+// core is picked once per process from CPUID: x86 SHA extensions when the CPU
+// has them, else the portable scalar core. Both produce identical digests.
 #ifndef SRC_CRYPTO_SHA256_H_
 #define SRC_CRYPTO_SHA256_H_
 
@@ -18,6 +20,9 @@ using Sha256Digest = std::array<u8, 32>;
 // Incremental hasher.
 class Sha256 {
  public:
+  // A compression core: absorbs `nblocks` consecutive 64-byte blocks.
+  using CompressFn = void (*)(std::array<u32, 8>& state, const u8* data, size_t nblocks);
+
   Sha256();
 
   void Update(std::span<const u8> data);
@@ -36,8 +41,14 @@ class Sha256 {
   static u64 compressions();
 
  private:
-  void ProcessBlock(const u8* block);
+  // Test seam for src/crypto/sha256_internal.h: a hasher on a given core.
+  friend Sha256 Sha256WithCore(CompressFn core);
+  explicit Sha256(CompressFn core);
 
+  // Counts the blocks, then runs them through `core_` in one call.
+  void Compress(const u8* data, size_t nblocks);
+
+  CompressFn core_;
   std::array<u32, 8> state_;
   std::array<u8, 64> buffer_;
   size_t buffer_len_ = 0;

@@ -69,7 +69,8 @@ Result<ModelSnapshot> CaptureSnapshot(SoftwareHypervisor& hv, int core) {
 }
 
 Status VerifySnapshotSealed(SoftwareHypervisor& hv, const ModelSnapshot& snapshot) {
-  if (snapshot.IntegrityOk()) {
+  const Sha256Digest recomputed = snapshot.ComputeDigest();
+  if (DigestEqual(snapshot.digest, recomputed)) {
     return OkStatus();
   }
   // A tampered snapshot is a security event, not just an API error: the
@@ -79,7 +80,7 @@ Status VerifySnapshotSealed(SoftwareHypervisor& hv, const ModelSnapshot& snapsho
       machine.clock().now(), TraceCategory::kSecurity, "hv", "snapshot.tamper",
       "core={} sealed={} recomputed={}",
       {snapshot.core, TraceArg::Hex16(DigestPrefixBe64(snapshot.digest)),
-       TraceArg::Hex16(DigestPrefixBe64(snapshot.ComputeDigest()))});
+       TraceArg::Hex16(DigestPrefixBe64(recomputed))});
   return Unauthenticated("snapshot digest mismatch: refusing to restore");
 }
 

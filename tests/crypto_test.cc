@@ -1,11 +1,17 @@
-// Unit tests for src/crypto: SHA-256 against FIPS vectors, HMAC against RFC
-// 4231 vectors, SimSig properties, certificates, attestation.
+// Unit tests for src/crypto: SHA-256 against FIPS vectors and the scalar core
+// against the SHA-NI core, HMAC against RFC 4231 vectors, SimSig properties,
+// certificates, attestation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/crypto/attest.h"
 #include "src/crypto/cert.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha256.h"
+#include "src/crypto/sha256_internal.h"
 #include "src/crypto/simsig.h"
 
 namespace guillotine {
@@ -44,6 +50,156 @@ TEST(Sha256Test, MillionAs) {
   }
   EXPECT_EQ(DigestHex(h.Finalize()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// --- Scalar vs SHA-NI compression cores. The scalar core is the oracle; the
+// SHA-NI half of each test is skipped on CPUs without SHA extensions. ---
+
+#if GUILLOTINE_SHA256_SHANI
+constexpr Sha256::CompressFn kShaNiCore = sha256_internal::CompressShaNi;
+#else
+constexpr Sha256::CompressFn kShaNiCore = nullptr;
+#endif
+
+struct CoreRun {
+  Sha256Digest digest;
+  u64 compressions;
+};
+
+// Hashes `data` on `core`, feeding Update one chunk per entry of `splits`
+// (ascending end offsets) and then the rest, and counts what it compressed.
+CoreRun HashOnCore(Sha256::CompressFn core, std::span<const u8> data,
+                   const std::vector<size_t>& splits = {}) {
+  const u64 before = Sha256::compressions();
+  Sha256 h = Sha256WithCore(core);
+  size_t start = 0;
+  for (const size_t end : splits) {
+    h.Update(data.subspan(start, end - start));
+    start = end;
+  }
+  h.Update(data.subspan(start));
+  const Sha256Digest digest = h.Finalize();
+  return {digest, Sha256::compressions() - before};
+}
+
+Bytes RandomBytes(Rng& rng, size_t n) {
+  Bytes out(n);
+  for (u8& b : out) {
+    b = static_cast<u8>(rng.Next());
+  }
+  return out;
+}
+
+// The message plus at least 9 bytes of padding, in whole blocks.
+u64 BlocksFor(size_t len) { return (len + 9 + 63) / 64; }
+
+TEST(Sha256CoreTest, DispatchFollowsCpuid) {
+  if (sha256_internal::CpuHasShaNi()) {
+    EXPECT_EQ(sha256_internal::SelectedCore(), kShaNiCore);
+  } else {
+    EXPECT_EQ(sha256_internal::SelectedCore(), &sha256_internal::CompressScalar);
+  }
+}
+
+TEST(Sha256CoreTest, FipsVectorsOnBothCores) {
+  const std::string million_as(1'000'000, 'a');
+  const std::pair<std::string_view, std::string_view> vectors[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {million_as, "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  const bool shani = sha256_internal::CpuHasShaNi();
+  for (const auto& [message, hex] : vectors) {
+    const std::span<const u8> data(reinterpret_cast<const u8*>(message.data()),
+                                   message.size());
+    const CoreRun scalar = HashOnCore(sha256_internal::CompressScalar, data);
+    EXPECT_EQ(DigestHex(scalar.digest), hex);
+    EXPECT_EQ(scalar.compressions, BlocksFor(message.size()));
+    if (shani) {
+      const CoreRun fast = HashOnCore(kShaNiCore, data);
+      EXPECT_EQ(DigestHex(fast.digest), hex);
+      EXPECT_EQ(fast.compressions, scalar.compressions);
+    }
+  }
+  if (!shani) {
+    GTEST_SKIP() << "CPU has no SHA extensions: scalar half only";
+  }
+}
+
+TEST(Sha256CoreTest, RandomLengthsUpTo4KiBMatchScalar) {
+  Rng rng(1804);
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 200; ++len) {
+    lengths.push_back(len);  // every padding case, up to four blocks
+  }
+  for (int i = 0; i < 300; ++i) {
+    lengths.push_back(rng.NextBelow(4096 + 1));
+  }
+  lengths.push_back(4096);
+  const bool shani = sha256_internal::CpuHasShaNi();
+  for (const size_t len : lengths) {
+    const Bytes data = RandomBytes(rng, len);
+    const CoreRun scalar = HashOnCore(sha256_internal::CompressScalar, data);
+    EXPECT_EQ(scalar.compressions, BlocksFor(len)) << "len=" << len;
+    if (shani) {
+      const CoreRun fast = HashOnCore(kShaNiCore, data);
+      EXPECT_EQ(DigestHex(fast.digest), DigestHex(scalar.digest)) << "len=" << len;
+      EXPECT_EQ(fast.compressions, scalar.compressions) << "len=" << len;
+    }
+  }
+  if (!shani) {
+    GTEST_SKIP() << "CPU has no SHA extensions: scalar half only";
+  }
+}
+
+TEST(Sha256CoreTest, RandomSplitsAndUnalignedStartsMatchOneShot) {
+  Rng rng(4231);
+  const Bytes pool = RandomBytes(rng, 4096 + 64);
+  const bool shani = sha256_internal::CpuHasShaNi();
+  for (int trial = 0; trial < 400; ++trial) {
+    // Start anywhere in the first block so loads are unaligned.
+    const size_t start = rng.NextBelow(64);
+    const size_t len = rng.NextBelow(4096 + 1);
+    const std::span<const u8> data(pool.data() + start, len);
+    std::vector<size_t> splits;
+    const size_t count = len == 0 ? 0 : rng.NextBelow(9);
+    for (size_t i = 0; i < count; ++i) {
+      splits.push_back(rng.NextBelow(len + 1));
+    }
+    if (len > 130) {
+      // A chunk that straddles a block boundary: 63..65 bytes in.
+      splits.push_back(63 + rng.NextBelow(3));
+    }
+    std::sort(splits.begin(), splits.end());
+    const CoreRun oracle = HashOnCore(sha256_internal::CompressScalar, data);
+    const CoreRun scalar = HashOnCore(sha256_internal::CompressScalar, data, splits);
+    EXPECT_EQ(DigestHex(scalar.digest), DigestHex(oracle.digest)) << "trial " << trial;
+    EXPECT_EQ(scalar.compressions, oracle.compressions) << "trial " << trial;
+    if (shani) {
+      const CoreRun fast = HashOnCore(kShaNiCore, data, splits);
+      EXPECT_EQ(DigestHex(fast.digest), DigestHex(oracle.digest)) << "trial " << trial;
+      EXPECT_EQ(fast.compressions, oracle.compressions) << "trial " << trial;
+    }
+  }
+  if (!shani) {
+    GTEST_SKIP() << "CPU has no SHA extensions: scalar half only";
+  }
+}
+
+TEST(Sha256CoreTest, OneMiBImageMatchesScalar) {
+  // The size of a model-DRAM image: one multi-block run of 16,384 blocks.
+  Rng rng(1 << 20);
+  const Bytes image = RandomBytes(rng, 1 << 20);
+  const CoreRun scalar = HashOnCore(sha256_internal::CompressScalar, image);
+  EXPECT_EQ(scalar.compressions, (1u << 20) / 64 + 1);
+  if (!sha256_internal::CpuHasShaNi()) {
+    GTEST_SKIP() << "CPU has no SHA extensions: scalar half only";
+  }
+  const CoreRun fast = HashOnCore(kShaNiCore, image);
+  EXPECT_EQ(DigestHex(fast.digest), DigestHex(scalar.digest));
+  EXPECT_EQ(fast.compressions, scalar.compressions);
 }
 
 TEST(HmacTest, Rfc4231Case1) {

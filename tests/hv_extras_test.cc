@@ -6,6 +6,7 @@
 #include "src/hv/audit_report.h"
 #include "src/hv/snapshot.h"
 #include "src/machine/storage.h"
+#include "src/testing/scenario.h"
 
 namespace guillotine {
 namespace {
@@ -198,6 +199,31 @@ TEST_F(HvExtrasTest, RetargetedOrRedatedSnapshotRefusesRestore) {
   EXPECT_EQ(trace_.CountKind("snapshot.restore"), 0u);
 }
 
+TEST_F(HvExtrasTest, TamperedSnapshotRefusalHashesImageOnce) {
+  const auto snapshot = CaptureSnapshot(hv_, 0);
+  ASSERT_TRUE(snapshot.ok());
+  ModelSnapshot tampered = *snapshot;
+  tampered.dram[7] ^= 0x01;
+  u64 before = Sha256::compressions();
+  const Sha256Digest recomputed = tampered.ComputeDigest();
+  const u64 one_seal = Sha256::compressions() - before;
+  ASSERT_GT(one_seal, tampered.dram.size() / 64);
+  // The refusal recomputes the seal once and reports that same digest: the
+  // image is not hashed a second time just to fill the trace.
+  before = Sha256::compressions();
+  EXPECT_EQ(VerifySnapshotSealed(hv_, tampered).code(), StatusCode::kUnauthenticated);
+  EXPECT_EQ(Sha256::compressions() - before, one_seal);
+  ASSERT_EQ(trace_.CountKind("snapshot.tamper"), 1u);
+  const std::string& detail = trace_.OfKind("snapshot.tamper").front()->detail;
+  EXPECT_NE(detail.find("recomputed=" + DigestHex(recomputed).substr(0, 16)),
+            std::string::npos)
+      << detail;
+  // A clean snapshot costs the same single seal.
+  before = Sha256::compressions();
+  EXPECT_TRUE(VerifySnapshotSealed(hv_, *snapshot).ok());
+  EXPECT_EQ(Sha256::compressions() - before, one_seal);
+}
+
 TEST_F(HvExtrasTest, RestoreDropsStaleEpochIrqsAndRings) {
   const auto port = hv_.CreatePort(disk_index_, PortRights{});
   ASSERT_TRUE(port.ok());
@@ -258,6 +284,27 @@ TEST_F(HvExtrasTest, AuditReportAggregatesPortsAndSecurity) {
   EXPECT_NE(rendered.find("AUDIT REPORT"), std::string::npos);
   EXPECT_NE(rendered.find("port 0"), std::string::npos);
   EXPECT_NE(rendered.find("probation"), std::string::npos);
+}
+
+// Known answer for the snapshot seal. A fixed-seed default deployment that
+// hosted a model and served one request seals to these digests. They pin the
+// seal preimage (header + arch + DRAM) and the SHA-256 output together, so a
+// change to either moves them and must say why.
+TEST(SnapshotSealTest, SnapshotSealKnownAnswer) {
+  GuillotineSystem sys(DefaultScenarioDeployment());
+  ASSERT_TRUE(sys.AttachDefaultDevices().ok());
+  Rng rng(7);
+  const MlpModel model = MlpModel::Random({8, 16, 4}, rng);
+  ASSERT_TRUE(sys.HostModel(model, sys.MakeVerifier()).ok());
+  ASSERT_TRUE(sys.Infer("summarize the weather").ok());
+  sys.machine().model_core(0).Pause(HaltReason::kHypervisorPause);
+  const auto snapshot = CaptureSnapshot(sys.hv(), 0);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(snapshot->dram.size(), 1u << 20);
+  EXPECT_EQ(DigestHex(snapshot->digest),
+            "120c757d71cec46c4d8ce4375841e9ed939637d1bb27b333e2621cc68124c2bb");
+  EXPECT_EQ(DigestHex(snapshot->PortableDigest()),
+            "ee7ef39e4116a473789f57e88f1d7f5617201eb400098c2b7c4348977836c558");
 }
 
 // --- Probation policy through the full console path ---
