@@ -25,99 +25,19 @@ Bytes EncodeProgram(std::span<const Instruction> program) {
   return out;
 }
 
-namespace {
-bool ValidOpcode(u8 raw) {
-  const auto op = static_cast<Opcode>(raw);
-  switch (op) {
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kXor:
-    case Opcode::kSll:
-    case Opcode::kSrl:
-    case Opcode::kSra:
-    case Opcode::kSlt:
-    case Opcode::kSltu:
-    case Opcode::kMul:
-    case Opcode::kMulh:
-    case Opcode::kDiv:
-    case Opcode::kRem:
-    case Opcode::kAddi:
-    case Opcode::kAndi:
-    case Opcode::kOri:
-    case Opcode::kXori:
-    case Opcode::kSlli:
-    case Opcode::kSrli:
-    case Opcode::kSrai:
-    case Opcode::kSlti:
-    case Opcode::kLdi:
-    case Opcode::kLb:
-    case Opcode::kLbu:
-    case Opcode::kLh:
-    case Opcode::kLhu:
-    case Opcode::kLw:
-    case Opcode::kLwu:
-    case Opcode::kLd:
-    case Opcode::kSb:
-    case Opcode::kSh:
-    case Opcode::kSw:
-    case Opcode::kSd:
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-    case Opcode::kBltu:
-    case Opcode::kBgeu:
-    case Opcode::kJal:
-    case Opcode::kJalr:
-    case Opcode::kNop:
-    case Opcode::kHalt:
-    case Opcode::kEbreak:
-    case Opcode::kFence:
-    case Opcode::kCsrr:
-    case Opcode::kCsrw:
-    case Opcode::kTrapret:
-      return true;
-  }
-  return false;
-}
-}  // namespace
-
 std::optional<Instruction> DecodeInstruction(std::span<const u8> in8) {
-  if (in8.size() < kInstrBytes || !ValidOpcode(in8[0])) {
+  if (in8.size() < kInstrBytes) {
     return std::nullopt;
+  }
+  u64 word = 0;
+  for (size_t i = kInstrBytes; i-- > 0;) {
+    word = (word << 8) | in8[i];
   }
   Instruction instr;
-  instr.op = static_cast<Opcode>(in8[0]);
-  instr.rd = in8[1];
-  instr.rs1 = in8[2];
-  instr.rs2 = in8[3];
-  if (instr.rd >= kNumRegisters || instr.rs1 >= kNumRegisters ||
-      instr.rs2 >= kNumRegisters) {
+  if (!DecodeWord(word, instr)) {
     return std::nullopt;
   }
-  const u32 imm = static_cast<u32>(in8[4]) | (static_cast<u32>(in8[5]) << 8) |
-                  (static_cast<u32>(in8[6]) << 16) | (static_cast<u32>(in8[7]) << 24);
-  instr.imm = static_cast<i32>(imm);
   return instr;
-}
-
-Cycles InstructionLatency(Opcode op) {
-  switch (op) {
-    case Opcode::kMul:
-    case Opcode::kMulh:
-      return 3;
-    case Opcode::kDiv:
-    case Opcode::kRem:
-      return 20;
-    case Opcode::kHalt:
-    case Opcode::kEbreak:
-    case Opcode::kTrapret:
-      return 2;
-    default:
-      return 1;
-  }
 }
 
 bool IsLoad(Opcode op) {

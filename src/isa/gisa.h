@@ -14,6 +14,7 @@
 #ifndef SRC_ISA_GISA_H_
 #define SRC_ISA_GISA_H_
 
+#include <array>
 #include <optional>
 #include <span>
 #include <string>
@@ -121,13 +122,62 @@ struct Instruction {
   bool operator==(const Instruction&) const = default;
 };
 
+// Valid opcode bytes, indexed by the raw byte.
+inline constexpr std::array<bool, 256> kValidOpcode = [] {
+  constexpr Opcode kRanges[][2] = {
+      {Opcode::kAdd, Opcode::kRem}, {Opcode::kAddi, Opcode::kLdi},
+      {Opcode::kLb, Opcode::kLd},   {Opcode::kSb, Opcode::kSd},
+      {Opcode::kBeq, Opcode::kJalr}, {Opcode::kNop, Opcode::kTrapret},
+  };
+  std::array<bool, 256> valid{};
+  for (const auto& range : kRanges) {
+    for (size_t op = static_cast<u8>(range[0]); op <= static_cast<u8>(range[1]); ++op) {
+      valid[op] = true;
+    }
+  }
+  return valid;
+}();
+
+// Decodes one instruction from its 8 bytes read as a little-endian word.
+// Returns false for an unknown opcode or an out-of-range register.
+inline bool DecodeWord(u64 word, Instruction& out) {
+  const auto op = static_cast<u8>(word);
+  const auto rd = static_cast<u8>(word >> 8);
+  const auto rs1 = static_cast<u8>(word >> 16);
+  const auto rs2 = static_cast<u8>(word >> 24);
+  if (!kValidOpcode[op] || (rd | rs1 | rs2) >= kNumRegisters) {
+    return false;
+  }
+  out.op = static_cast<Opcode>(op);
+  out.rd = rd;
+  out.rs1 = rs1;
+  out.rs2 = rs2;
+  out.imm = static_cast<i32>(static_cast<u32>(word >> 32));
+  return true;
+}
+
 // Fixed-width encode/decode.
 void EncodeInstruction(const Instruction& instr, std::span<u8> out8);
 Bytes EncodeProgram(std::span<const Instruction> program);
 std::optional<Instruction> DecodeInstruction(std::span<const u8> in8);
 
 // Dispatch-cost model (cycles consumed in addition to memory latency).
-Cycles InstructionLatency(Opcode op);
+inline Cycles InstructionLatency(Opcode op) {
+  switch (op) {
+    case Opcode::kMul:
+    case Opcode::kMulh:
+      return 3;
+    case Opcode::kDiv:
+    case Opcode::kRem:
+      return 20;
+    case Opcode::kHalt:
+    case Opcode::kEbreak:
+    case Opcode::kTrapret:
+      return 2;
+    default:
+      return 1;
+  }
+}
 
 // True for opcodes that read or write data memory.
 bool IsLoad(Opcode op);

@@ -144,10 +144,7 @@ std::vector<CoreEvent> ModelCore::TakeEvents() {
   return out;
 }
 
-bool ModelCore::CheckWatchpoints(PhysAddr pa, size_t len, AccessType type, u64 pc) {
-  if (suppress_active_) {
-    return false;
-  }
+bool ModelCore::MatchWatchpoint(PhysAddr pa, size_t len, AccessType type, u64 pc) {
   for (const Watchpoint& wp : watchpoints_) {
     const bool kind_match = (type == AccessType::kFetch && wp.on_exec) ||
                             (type == AccessType::kLoad && wp.on_read) ||
@@ -155,7 +152,8 @@ bool ModelCore::CheckWatchpoints(PhysAddr pa, size_t len, AccessType type, u64 p
     if (!kind_match) {
       continue;
     }
-    if (pa < wp.hi && pa + len > wp.lo) {
+    // [pa, pa + len) overlaps [lo, hi), written so that pa + len cannot wrap.
+    if (pa < wp.hi && (wp.lo <= pa || wp.lo - pa < len)) {
       CoreEvent ev;
       ev.core_id = id_;
       ev.watchpoint_id = wp.id;
@@ -179,63 +177,43 @@ ModelCore::MemAccess ModelCore::AccessMemory(VirtAddr va, AccessType type,
     out.fault = tr.fault;
     return out;
   }
-  out.pa = tr.phys;
 
-  // Route by physical address.
-  const bool in_model_dram = tr.phys + len <= model_dram_.size();
-  const bool in_io_window =
-      tr.phys >= kIoDramBase && tr.phys + len <= kIoDramBase + io_dram_.size();
-
-  if (type == AccessType::kFetch) {
-    if (!in_model_dram) {
-      // Code may only live in model DRAM; the shared window is not
-      // executable (it is writable by definition, and W^X holds globally).
-      out.fault = TrapCause::kFetchFault;
-      return out;
-    }
-    if (CheckWatchpoints(tr.phys, len, type, arch_.pc)) {
-      out.watchpoint_hit = true;
-      return out;
-    }
-    out.latency += AccessThroughHierarchy(caches_.l1i, caches_.l2, l3_, tr.phys,
-                                          config_.mem_path);
+  // Route by physical address. Both bounds checks are overflow-safe, so an
+  // access that wraps past 2^64 is decoded by no bus.
+  if (model_dram_.InBounds(tr.phys, len)) {
+    out.dram = &model_dram_;
+    out.offset = tr.phys;
+  } else if (type != AccessType::kFetch && tr.phys >= kIoDramBase &&
+             io_dram_.dram().InBounds(tr.phys - kIoDramBase, len)) {
+    // Code may only live in model DRAM; the shared window is not
+    // executable (it is writable by definition, and W^X holds globally).
+    out.dram = &io_dram_.dram();
+    out.offset = tr.phys - kIoDramBase;
+  } else {
+    // No bus decodes this address: hypervisor DRAM is not "protected", it
+    // is absent. The access faults.
+    out.fault = type == AccessType::kFetch  ? TrapCause::kFetchFault
+                : type == AccessType::kLoad ? TrapCause::kLoadFault
+                                            : TrapCause::kStoreFault;
     return out;
   }
 
-  if (in_model_dram) {
-    if (CheckWatchpoints(tr.phys, len, type, arch_.pc)) {
-      out.watchpoint_hit = true;
-      return out;
-    }
-    out.latency += AccessThroughHierarchy(caches_.l1d, caches_.l2, l3_, tr.phys,
-                                          config_.mem_path);
+  if (CheckWatchpoints(tr.phys, len, type, arch_.pc)) {
+    out.watchpoint_hit = true;
     return out;
   }
-  if (in_io_window) {
-    if (CheckWatchpoints(tr.phys, len, type, arch_.pc)) {
-      out.watchpoint_hit = true;
-      return out;
-    }
+  if (out.dram == &model_dram_) {
+    Cache& l1 = type == AccessType::kFetch ? caches_.l1i : caches_.l1d;
+    out.latency += AccessThroughHierarchy(l1, caches_.l2, l3_, tr.phys, config_.mem_path);
+  } else {
     out.latency += kIoDramLatency;  // uncached, coherent shared window
-    return out;
   }
-  // No bus decodes this address: hypervisor DRAM is not "protected", it is
-  // absent. The access faults.
-  out.fault = type == AccessType::kLoad ? TrapCause::kLoadFault : TrapCause::kStoreFault;
   return out;
 }
 
-bool ModelCore::ReadPhys(PhysAddr pa, size_t len, u64& out) {
-  Dram* target = nullptr;
-  PhysAddr addr = pa;
-  if (pa + len <= model_dram_.size()) {
-    target = &model_dram_;
-  } else if (pa >= kIoDramBase && pa + len <= kIoDramBase + io_dram_.size()) {
-    target = &io_dram_.dram();
-    addr = pa - kIoDramBase;
-  } else {
-    return false;
-  }
+bool ModelCore::ReadPhys(const MemAccess& acc, size_t len, u64& out) {
+  Dram* target = acc.dram;
+  const PhysAddr addr = acc.offset;
   switch (len) {
     case 1: {
       u8 v;
@@ -261,19 +239,10 @@ bool ModelCore::ReadPhys(PhysAddr pa, size_t len, u64& out) {
   return false;
 }
 
-bool ModelCore::WritePhys(PhysAddr pa, size_t len, u64 value) {
-  Dram* target = nullptr;
-  PhysAddr addr = pa;
-  bool is_io = false;
-  if (pa + len <= model_dram_.size()) {
-    target = &model_dram_;
-  } else if (pa >= kIoDramBase && pa + len <= kIoDramBase + io_dram_.size()) {
-    target = &io_dram_.dram();
-    addr = pa - kIoDramBase;
-    is_io = true;
-  } else {
-    return false;
-  }
+bool ModelCore::WritePhys(const MemAccess& acc, size_t len, u64 value) {
+  Dram* target = acc.dram;
+  const PhysAddr addr = acc.offset;
+  const bool is_io = target != &model_dram_;
   bool ok = false;
   switch (len) {
     case 1:
@@ -368,25 +337,16 @@ Cycles ModelCore::ExecuteOne() {
     stats_.cycles += cost;
     return cost;
   }
-  u8 raw[kInstrBytes];
-  bool fetched = true;
-  {
-    // Fetch always reads model DRAM (guaranteed by AccessMemory routing).
-    for (size_t i = 0; i < kInstrBytes; ++i) {
-      if (!model_dram_.Read8(fetch.pa + i, raw[i])) {
-        fetched = false;
-        break;
-      }
-    }
-  }
-  const auto decoded = fetched ? DecodeInstruction(raw) : std::nullopt;
-  if (!decoded.has_value()) {
+  // AccessMemory routed the fetch to model DRAM: all 8 bytes are in bounds.
+  u64 word = 0;
+  model_dram_.Read64(fetch.offset, word);
+  Instruction in;
+  if (!DecodeWord(word, in)) {
     EnterTrap(TrapCause::kIllegalInstruction, pc);
     cost += config_.trap_entry_cost;
     stats_.cycles += cost;
     return cost;
   }
-  const Instruction& in = *decoded;
   cost += InstructionLatency(in.op);
 
   u64 next_pc = pc + kInstrBytes;
@@ -522,7 +482,7 @@ Cycles ModelCore::ExecuteOne() {
         return cost;
       }
       u64 loaded = 0;
-      if (!ReadPhys(acc.pa, len, loaded)) {
+      if (!ReadPhys(acc, len, loaded)) {
         EnterTrap(TrapCause::kLoadFault, pc);
         cost += config_.trap_entry_cost;
         stats_.cycles += cost;
@@ -568,7 +528,7 @@ Cycles ModelCore::ExecuteOne() {
         stats_.cycles += cost;
         return cost;
       }
-      if (!WritePhys(acc.pa, len, rs2)) {
+      if (!WritePhys(acc, len, rs2)) {
         EnterTrap(TrapCause::kStoreFault, pc);
         cost += config_.trap_entry_cost;
         stats_.cycles += cost;

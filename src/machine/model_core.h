@@ -83,7 +83,8 @@ class ModelCore {
 
  private:
   struct MemAccess {
-    PhysAddr pa = 0;
+    Dram* dram = nullptr;  // the module that decodes the access
+    PhysAddr offset = 0;   // within `dram`
     Cycles latency = 0;
     TrapCause fault = TrapCause::kNone;
     bool watchpoint_hit = false;
@@ -91,11 +92,15 @@ class ModelCore {
 
   // Translates + routes + times one access. Applies watchpoints.
   MemAccess AccessMemory(VirtAddr va, AccessType type, size_t len);
-  bool ReadPhys(PhysAddr pa, size_t len, u64& out);
-  bool WritePhys(PhysAddr pa, size_t len, u64 value);
+  bool ReadPhys(const MemAccess& acc, size_t len, u64& out);
+  bool WritePhys(const MemAccess& acc, size_t len, u64 value);
 
   void EnterTrap(TrapCause cause, u64 epc);
-  bool CheckWatchpoints(PhysAddr pa, size_t len, AccessType type, u64 pc);
+  bool CheckWatchpoints(PhysAddr pa, size_t len, AccessType type, u64 pc) {
+    return !watchpoints_.empty() && !suppress_active_ &&
+           MatchWatchpoint(pa, len, type, pc);
+  }
+  bool MatchWatchpoint(PhysAddr pa, size_t len, AccessType type, u64 pc);
   Cycles ExecuteOne();  // single instruction, no state gate
 
   int id_;

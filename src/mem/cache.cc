@@ -1,63 +1,51 @@
 #include "src/mem/cache.h"
 
-#include <cassert>
+#include <bit>
+#include <cstdio>
+#include <cstdlib>
 
 namespace guillotine {
 
 Cache::Cache(const CacheConfig& config, std::string name)
     : config_(config), name_(std::move(name)) {
-  assert(config_.num_sets() > 0);
-  lines_.resize(config_.num_sets() * config_.ways);
+  const size_t sets = config_.ways == 0 ? 0 : config_.num_sets();
+  if (!std::has_single_bit(config_.line_bytes) || !std::has_single_bit(sets)) {
+    std::fprintf(stderr,
+                 "cache %s: line_bytes (%zu) and set count (%zu) must be powers of two\n",
+                 name_.c_str(), config_.line_bytes, sets);
+    std::abort();
+  }
+  line_shift_ = static_cast<unsigned>(std::countr_zero(config_.line_bytes));
+  tag_shift_ = line_shift_ + static_cast<unsigned>(std::countr_zero(sets));
+  set_mask_ = sets - 1;
+  lines_.resize(sets * config_.ways);
 }
 
-size_t Cache::SetIndex(PhysAddr addr) const {
-  return (addr / config_.line_bytes) % config_.num_sets();
-}
-
-u64 Cache::Tag(PhysAddr addr) const {
-  return (addr / config_.line_bytes) / config_.num_sets();
-}
-
-bool Cache::Access(PhysAddr addr) {
-  const size_t set = SetIndex(addr);
-  const u64 tag = Tag(addr);
-  Line* base = &lines_[set * config_.ways];
-  Line* lru_line = base;
-  for (size_t w = 0; w < config_.ways; ++w) {
-    Line& line = base[w];
-    if (line.valid && line.tag == tag) {
-      line.lru = ++use_counter_;
-      ++stats_.hits;
-      return true;
-    }
-    if (line.lru < lru_line->lru || !line.valid) {
-      // Prefer invalid lines; otherwise track least recently used.
-      if (!line.valid && lru_line->valid) {
-        lru_line = &line;
-      } else if (line.valid == lru_line->valid && line.lru < lru_line->lru) {
-        lru_line = &line;
-      }
+void Cache::Fill(Line* base, size_t set, u64 tag) {
+  // Prefer invalid lines; otherwise the least recently used. Ties keep the
+  // lowest way.
+  Line* victim = base;
+  for (size_t w = 1; w < config_.ways; ++w) {
+    const Line& line = base[w];
+    if (line.valid != victim->valid ? !line.valid : line.lru < victim->lru) {
+      victim = &base[w];
     }
   }
   ++stats_.misses;
-  if (lru_line->valid) {
+  if (victim->valid) {
     ++stats_.evictions;
     if (eviction_hook_) {
-      const PhysAddr victim =
-          (lru_line->tag * config_.num_sets() + set) * config_.line_bytes;
-      eviction_hook_(victim);
+      eviction_hook_((victim->tag << tag_shift_) | (set << line_shift_));
     }
   }
-  lru_line->valid = true;
-  lru_line->tag = tag;
-  lru_line->lru = ++use_counter_;
-  return false;
+  victim->valid = true;
+  victim->tag = tag;
+  victim->lru = ++use_counter_;
 }
 
 bool Cache::Probe(PhysAddr addr) const {
-  const size_t set = SetIndex(addr);
   const u64 tag = Tag(addr);
-  const Line* base = &lines_[set * config_.ways];
+  const Line* base = &lines_[SetIndex(addr) * config_.ways];
   for (size_t w = 0; w < config_.ways; ++w) {
     if (base[w].valid && base[w].tag == tag) {
       return true;
@@ -75,9 +63,8 @@ void Cache::Flush() {
 }
 
 bool Cache::Invalidate(PhysAddr addr) {
-  const size_t set = SetIndex(addr);
   const u64 tag = Tag(addr);
-  Line* base = &lines_[set * config_.ways];
+  Line* base = &lines_[SetIndex(addr) * config_.ways];
   for (size_t w = 0; w < config_.ways; ++w) {
     if (base[w].valid && base[w].tag == tag) {
       base[w].valid = false;
@@ -87,11 +74,8 @@ bool Cache::Invalidate(PhysAddr addr) {
   return false;
 }
 
-Cycles AccessThroughHierarchy(Cache& l1, Cache& l2, Cache* l3, PhysAddr addr,
-                              const MemoryPathConfig& path) {
-  if (l1.Access(addr)) {
-    return l1.hit_latency();
-  }
+Cycles AccessAfterL1Miss(const Cache& l1, Cache& l2, Cache* l3, PhysAddr addr,
+                         const MemoryPathConfig& path) {
   if (l2.Access(addr)) {
     return l1.hit_latency() + l2.hit_latency();
   }

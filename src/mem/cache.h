@@ -10,7 +10,6 @@
 #define SRC_MEM_CACHE_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,11 +39,26 @@ struct CacheStats {
 
 class Cache {
  public:
+  // Aborts, in every build type, unless `line_bytes` and the set count are
+  // powers of two: set index and tag are then a shift and a mask.
   explicit Cache(const CacheConfig& config, std::string name = "cache");
 
   // Looks up `addr`; on miss the line is installed (possibly evicting LRU).
   // Returns true on hit.
-  bool Access(PhysAddr addr);
+  bool Access(PhysAddr addr) {
+    const size_t set = SetIndex(addr);
+    const u64 tag = Tag(addr);
+    Line* base = &lines_[set * config_.ways];
+    for (size_t w = 0; w < config_.ways; ++w) {
+      if (base[w].valid && base[w].tag == tag) {
+        base[w].lru = ++use_counter_;
+        ++stats_.hits;
+        return true;
+      }
+    }
+    Fill(base, set, tag);
+    return false;
+  }
 
   // Lookup without installing or touching LRU state (used by tests).
   bool Probe(PhysAddr addr) const;
@@ -74,11 +88,18 @@ class Cache {
     u64 lru = 0;  // larger = more recently used
   };
 
-  size_t SetIndex(PhysAddr addr) const;
-  u64 Tag(PhysAddr addr) const;
+  size_t SetIndex(PhysAddr addr) const { return (addr >> line_shift_) & set_mask_; }
+  u64 Tag(PhysAddr addr) const { return addr >> tag_shift_; }
+
+  // Miss path: installs `tag` in an invalid way, else the least recently
+  // used one, reporting a valid victim to the eviction hook.
+  void Fill(Line* set_lines, size_t set, u64 tag);
 
   CacheConfig config_;
   std::string name_;
+  unsigned line_shift_ = 0;
+  unsigned tag_shift_ = 0;
+  size_t set_mask_ = 0;
   std::vector<Line> lines_;  // num_sets * ways, row-major by set
   u64 use_counter_ = 0;
   CacheStats stats_;
@@ -109,10 +130,19 @@ struct MemoryPathConfig {
   Cycles dram_latency = 200;
 };
 
+// The L2 -> L3 -> DRAM part of a lookup, after `l1` missed.
+Cycles AccessAfterL1Miss(const Cache& l1, Cache& l2, Cache* l3, PhysAddr addr,
+                         const MemoryPathConfig& path);
+
 // Computes the access latency and updates all cache levels.
 // `l3` may be null (no L3 level, straight to DRAM).
-Cycles AccessThroughHierarchy(Cache& l1, Cache& l2, Cache* l3, PhysAddr addr,
-                              const MemoryPathConfig& path);
+inline Cycles AccessThroughHierarchy(Cache& l1, Cache& l2, Cache* l3, PhysAddr addr,
+                                     const MemoryPathConfig& path) {
+  if (l1.Access(addr)) {
+    return l1.hit_latency();
+  }
+  return AccessAfterL1Miss(l1, l2, l3, addr, path);
+}
 
 }  // namespace guillotine
 

@@ -5,81 +5,6 @@
 
 namespace guillotine {
 
-bool Dram::Read8(PhysAddr addr, u8& out) const {
-  if (!InBounds(addr, 1)) {
-    return false;
-  }
-  out = bytes_[addr];
-  return true;
-}
-
-bool Dram::Read16(PhysAddr addr, u16& out) const {
-  if (!InBounds(addr, 2)) {
-    return false;
-  }
-  out = static_cast<u16>(bytes_[addr] | (bytes_[addr + 1] << 8));
-  return true;
-}
-
-bool Dram::Read32(PhysAddr addr, u32& out) const {
-  if (!InBounds(addr, 4)) {
-    return false;
-  }
-  out = 0;
-  for (int i = 3; i >= 0; --i) {
-    out = (out << 8) | bytes_[addr + static_cast<size_t>(i)];
-  }
-  return true;
-}
-
-bool Dram::Read64(PhysAddr addr, u64& out) const {
-  if (!InBounds(addr, 8)) {
-    return false;
-  }
-  out = 0;
-  for (int i = 7; i >= 0; --i) {
-    out = (out << 8) | bytes_[addr + static_cast<size_t>(i)];
-  }
-  return true;
-}
-
-bool Dram::Write8(PhysAddr addr, u8 v) {
-  if (!InBounds(addr, 1)) {
-    return false;
-  }
-  bytes_[addr] = v;
-  return true;
-}
-
-bool Dram::Write16(PhysAddr addr, u16 v) {
-  if (!InBounds(addr, 2)) {
-    return false;
-  }
-  bytes_[addr] = static_cast<u8>(v);
-  bytes_[addr + 1] = static_cast<u8>(v >> 8);
-  return true;
-}
-
-bool Dram::Write32(PhysAddr addr, u32 v) {
-  if (!InBounds(addr, 4)) {
-    return false;
-  }
-  for (int i = 0; i < 4; ++i) {
-    bytes_[addr + static_cast<size_t>(i)] = static_cast<u8>(v >> (8 * i));
-  }
-  return true;
-}
-
-bool Dram::Write64(PhysAddr addr, u64 v) {
-  if (!InBounds(addr, 8)) {
-    return false;
-  }
-  for (int i = 0; i < 8; ++i) {
-    bytes_[addr + static_cast<size_t>(i)] = static_cast<u8>(v >> (8 * i));
-  }
-  return true;
-}
-
 Status Dram::ReadBlock(PhysAddr addr, std::span<u8> out) const {
   if (!InBounds(addr, out.size())) {
     return OutOfRange(name_ + ": read past end");

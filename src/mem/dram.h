@@ -9,6 +9,8 @@
 #ifndef SRC_MEM_DRAM_H_
 #define SRC_MEM_DRAM_H_
 
+#include <bit>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,14 +34,14 @@ class Dram {
 
   // Scalar accessors (little-endian). Return false when out of bounds; the
   // caller (core or bus) converts that into the architectural fault.
-  bool Read8(PhysAddr addr, u8& out) const;
-  bool Read16(PhysAddr addr, u16& out) const;
-  bool Read32(PhysAddr addr, u32& out) const;
-  bool Read64(PhysAddr addr, u64& out) const;
-  bool Write8(PhysAddr addr, u8 v);
-  bool Write16(PhysAddr addr, u16 v);
-  bool Write32(PhysAddr addr, u32 v);
-  bool Write64(PhysAddr addr, u64 v);
+  bool Read8(PhysAddr addr, u8& out) const { return Load(addr, out); }
+  bool Read16(PhysAddr addr, u16& out) const { return Load(addr, out); }
+  bool Read32(PhysAddr addr, u32& out) const { return Load(addr, out); }
+  bool Read64(PhysAddr addr, u64& out) const { return Load(addr, out); }
+  bool Write8(PhysAddr addr, u8 v) { return Store(addr, v); }
+  bool Write16(PhysAddr addr, u16 v) { return Store(addr, v); }
+  bool Write32(PhysAddr addr, u32 v) { return Store(addr, v); }
+  bool Write64(PhysAddr addr, u64 v) { return Store(addr, v); }
 
   // Block accessors used by buses, loaders, and audit tooling.
   Status ReadBlock(PhysAddr addr, std::span<u8> out) const;
@@ -53,6 +55,27 @@ class Dram {
   std::span<const u8> raw() const { return bytes_; }
 
  private:
+  // Model memory is little-endian, so a host-order copy is the encoding.
+  static_assert(std::endian::native == std::endian::little);
+
+  template <typename T>
+  bool Load(PhysAddr addr, T& out) const {
+    if (!InBounds(addr, sizeof(T))) {
+      return false;
+    }
+    std::memcpy(&out, bytes_.data() + addr, sizeof(T));
+    return true;
+  }
+
+  template <typename T>
+  bool Store(PhysAddr addr, T v) {
+    if (!InBounds(addr, sizeof(T))) {
+      return false;
+    }
+    std::memcpy(bytes_.data() + addr, &v, sizeof(T));
+    return true;
+  }
+
   std::vector<u8> bytes_;
   std::string name_;
 };

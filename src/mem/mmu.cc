@@ -66,28 +66,9 @@ void Tlb::Flush() {
   }
 }
 
-TranslationResult Mmu::CheckLockdown(PhysAddr pa, AccessType type,
-                                     const ExecLockdown& lockdown, Cycles cost) const {
-  TranslationResult result;
-  result.phys = pa;
-  result.cost = cost;
-  if (!lockdown.armed) {
-    return result;
-  }
-  const bool in_exec = lockdown.Contains(pa);
-  if (type == AccessType::kFetch && !in_exec) {
-    result.fault = TrapCause::kFetchFault;
-  } else if (type == AccessType::kLoad && in_exec) {
-    result.fault = TrapCause::kLoadFault;
-  } else if (type == AccessType::kStore && in_exec) {
-    result.fault = TrapCause::kStoreFault;
-  }
-  return result;
-}
-
-TranslationResult Mmu::Translate(VirtAddr va, AccessType type, u64 satp,
-                                 const Dram& dram, const ExecLockdown& lockdown,
-                                 Tlb& tlb) const {
+TranslationResult Mmu::TranslatePaged(VirtAddr va, AccessType type, u64 satp,
+                                      const Dram& dram, const ExecLockdown& lockdown,
+                                      Tlb& tlb) const {
   auto fault_for = [&](AccessType t) {
     switch (t) {
       case AccessType::kFetch:
@@ -99,11 +80,6 @@ TranslationResult Mmu::Translate(VirtAddr va, AccessType type, u64 satp,
     }
     return TrapCause::kLoadFault;
   };
-
-  if ((satp & kSatpEnableBit) == 0) {
-    // Bare mode: identity mapping; lockdown still applies.
-    return CheckLockdown(va, type, lockdown, 0);
-  }
 
   if (const auto hit = tlb.Lookup(va, type); hit.has_value()) {
     ++tlb.hits;

@@ -20,8 +20,8 @@
 #ifndef SRC_MEM_MMU_H_
 #define SRC_MEM_MMU_H_
 
+#include <array>
 #include <optional>
-#include <vector>
 
 #include "src/common/types.h"
 #include "src/isa/gisa.h"
@@ -62,8 +62,6 @@ struct TranslationResult {
 // control bus can forcibly clear.
 class Tlb {
  public:
-  explicit Tlb(size_t entries = 64) : entries_(entries) {}
-
   std::optional<PhysAddr> Lookup(VirtAddr va, AccessType type) const;
   void Insert(VirtAddr va, PhysAddr page_phys, u64 pte_flags);
   void Flush();
@@ -80,8 +78,7 @@ class Tlb {
     u64 lru = 0;
   };
 
-  size_t entries_;
-  std::vector<Entry> slots_ = std::vector<Entry>(64);
+  std::array<Entry, 64> slots_{};
   u64 use_counter_ = 0;
 };
 
@@ -96,11 +93,38 @@ class Mmu {
   // Page tables are read from `dram` (model DRAM).
   TranslationResult Translate(VirtAddr va, AccessType type, u64 satp,
                               const Dram& dram, const ExecLockdown& lockdown,
-                              Tlb& tlb) const;
+                              Tlb& tlb) const {
+    if ((satp & kSatpEnableBit) == 0) {
+      // Bare mode: identity mapping; lockdown still applies.
+      return CheckLockdown(va, type, lockdown, 0);
+    }
+    return TranslatePaged(va, type, satp, dram, lockdown, tlb);
+  }
 
  private:
-  TranslationResult CheckLockdown(PhysAddr pa, AccessType type,
-                                  const ExecLockdown& lockdown, Cycles cost) const;
+  static TranslationResult CheckLockdown(PhysAddr pa, AccessType type,
+                                         const ExecLockdown& lockdown, Cycles cost) {
+    TranslationResult result;
+    result.phys = pa;
+    result.cost = cost;
+    if (!lockdown.armed) {
+      return result;
+    }
+    const bool in_exec = lockdown.Contains(pa);
+    if (type == AccessType::kFetch && !in_exec) {
+      result.fault = TrapCause::kFetchFault;
+    } else if (type == AccessType::kLoad && in_exec) {
+      result.fault = TrapCause::kLoadFault;
+    } else if (type == AccessType::kStore && in_exec) {
+      result.fault = TrapCause::kStoreFault;
+    }
+    return result;
+  }
+
+  // TLB lookup, then the two-level walk on a miss.
+  TranslationResult TranslatePaged(VirtAddr va, AccessType type, u64 satp,
+                                   const Dram& dram, const ExecLockdown& lockdown,
+                                   Tlb& tlb) const;
 };
 
 }  // namespace guillotine

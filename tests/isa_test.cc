@@ -1,6 +1,8 @@
 // Unit tests for src/isa: encoding, assembler, disassembler, builder.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/isa/assembler.h"
 #include "src/isa/disasm.h"
 #include "src/isa/gisa.h"
@@ -30,6 +32,46 @@ TEST(GisaTest, DecodeRejectsBadOpcode) {
 TEST(GisaTest, DecodeRejectsBadRegister) {
   u8 buf[kInstrBytes] = {static_cast<u8>(Opcode::kAdd), 40, 0, 0, 0, 0, 0, 0};
   EXPECT_FALSE(DecodeInstruction(buf).has_value());
+}
+
+// The fetch path decodes a little-endian word; disasm and tests decode
+// bytes. Both must agree with each other and with the mnemonic table on
+// every opcode byte, with register bytes in and out of range.
+TEST(GisaTest, DecodeWordMatchesDecodeInstructionOnEveryOpcodeByte) {
+  const u8 kRegisterBytes[] = {0, 1, 17, 31, 32, 33, 127, 255};
+  int valid = 0;
+  for (int op = 0; op < 256; ++op) {
+    const bool known = ParseOpcode(OpcodeName(static_cast<Opcode>(op))) ==
+                       std::optional<Opcode>(static_cast<Opcode>(op));
+    valid += known ? 1 : 0;
+    for (const u8 rd : kRegisterBytes) {
+      for (const u8 rs1 : kRegisterBytes) {
+        for (const u8 rs2 : kRegisterBytes) {
+          const u8 bytes[kInstrBytes] = {static_cast<u8>(op), rd, rs1, rs2,
+                                         0x78, 0x56, 0x34, 0x92};
+          u64 word = 0;
+          std::memcpy(&word, bytes, sizeof(word));
+          Instruction from_word;
+          const bool ok = DecodeWord(word, from_word);
+          const auto from_bytes = DecodeInstruction(bytes);
+          const bool expect_ok = known && rd < kNumRegisters && rs1 < kNumRegisters &&
+                                 rs2 < kNumRegisters;
+          ASSERT_EQ(ok, expect_ok) << "op " << op << " rd " << int{rd} << " rs1 "
+                                   << int{rs1} << " rs2 " << int{rs2};
+          ASSERT_EQ(from_bytes.has_value(), expect_ok);
+          if (expect_ok) {
+            EXPECT_EQ(*from_bytes, from_word);
+            EXPECT_EQ(from_word.op, static_cast<Opcode>(op));
+            EXPECT_EQ(from_word.rd, rd);
+            EXPECT_EQ(from_word.rs1, rs1);
+            EXPECT_EQ(from_word.rs2, rs2);
+            EXPECT_EQ(from_word.imm, static_cast<i32>(0x92345678u));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(valid, 49);
 }
 
 TEST(GisaTest, RegisterNamesRoundTrip) {

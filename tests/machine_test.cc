@@ -8,8 +8,10 @@
 #include "src/machine/machine.h"
 #include "src/machine/nic.h"
 #include "src/machine/storage.h"
+#include "src/core/guillotine.h"
 #include "src/crypto/hmac.h"
 #include "src/model/weights.h"
+#include "src/testing/scenario.h"
 
 namespace guillotine {
 namespace {
@@ -515,6 +517,142 @@ TEST_F(MachineTest, MeasureSiliconCommitsToTopology) {
   MeasurementRegister b;
   machine2.MeasureSilicon(b);
   EXPECT_FALSE(DigestEqual(a.value(), b.value()));
+}
+
+// --- Physical routing near the top of the address space ---
+//
+// An access whose end wraps past 2^64, or that straddles the end of the IO
+// window, is decoded by no bus. It raises its own fault and is charged no
+// cache access.
+
+u64 Accesses(const Cache& cache) { return cache.stats().hits + cache.stats().misses; }
+
+TEST_F(MachineTest, FetchAtTopOfAddressSpaceFaultsWithoutL1Access) {
+  ModelCore& core = machine_.model_core(0);
+  core.PowerUpCore(~0ULL - 7);
+  Start(0);
+  RunUntilStopped(0);
+  EXPECT_EQ(core.state(), RunState::kFaulted);
+  EXPECT_EQ(core.fault_cause(), TrapCause::kFetchFault);
+  EXPECT_EQ(Accesses(core.caches().l1i), 0u);
+  EXPECT_EQ(Accesses(core.caches().l2), 0u);
+}
+
+TEST_F(MachineTest, DataAccessesThatWrapOrStraddleFaultWithoutL1Access) {
+  struct Case {
+    const char* source;
+    TrapCause cause;
+  };
+  const Case cases[] = {
+      {"ldi a1, -8\n ld a0, 0(a1)\n halt", TrapCause::kLoadFault},
+      {"ldi a1, -8\n sd a0, 0(a1)\n halt", TrapCause::kStoreFault},
+      {"li64 a1, 0x4000FFFC\n ld a0, 0(a1)\n halt", TrapCause::kLoadFault},
+      {"li64 a1, 0x4000FFFC\n sd a0, 0(a1)\n halt", TrapCause::kStoreFault},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.source);
+    Load(0, c.source);
+    ModelCore& core = machine_.model_core(0);
+    core.FlushMicroarch();
+    const u64 l1d_before = Accesses(core.caches().l1d);
+    Start(0);
+    RunUntilStopped(0);
+    EXPECT_EQ(core.state(), RunState::kFaulted);
+    EXPECT_EQ(core.fault_cause(), c.cause);
+    EXPECT_EQ(Accesses(core.caches().l1d), l1d_before);
+  }
+}
+
+// --- Interpreter known answers ---
+//
+// Every counter below is a property of the modelled machine, so an
+// interpreter change that moves any of them changes what the simulator
+// models.
+
+void ExpectCacheStats(const Cache& c, u64 hits, u64 misses, u64 evictions) {
+  SCOPED_TRACE(c.name());
+  EXPECT_EQ(c.stats().hits, hits);
+  EXPECT_EQ(c.stats().misses, misses);
+  EXPECT_EQ(c.stats().evictions, evictions);
+}
+
+// A fixed-seed MLP inference on the default scenario deployment.
+TEST(InterpreterKnownAnswerTest, MlpInferencePinsCoreAndCacheCounters) {
+  GuillotineSystem sys(DefaultScenarioDeployment());
+  ASSERT_TRUE(sys.AttachDefaultDevices().ok());
+  Rng rng(14);
+  const MlpModel model = MlpModel::Random({16, 24, 8}, rng);
+  ASSERT_TRUE(sys.HostModel(model, sys.MakeVerifier()).ok());
+  ASSERT_TRUE(sys.Infer("pin the interpreter").ok());
+  std::vector<i64> input(16);
+  for (auto& v : input) {
+    v = ToFixed(rng.NextGaussian() * 0.4);
+  }
+  ASSERT_TRUE(sys.InferVector(input).ok());
+
+  ModelCore& core = sys.machine().model_core(0);
+  const CoreStats& s = core.stats();
+  EXPECT_EQ(s.instructions, 16'559u);
+  EXPECT_EQ(s.cycles, 88'899u);
+  EXPECT_EQ(s.branch_mispredicts, 110u);
+  EXPECT_EQ(s.traps, 0u);
+  EXPECT_EQ(s.doorbell_stores, 0u);
+  ExpectCacheStats(core.caches().l1i, 16'549, 10, 0);
+  ExpectCacheStats(core.caches().l1d, 2'464, 86, 0);
+  ExpectCacheStats(core.caches().l2, 0, 96, 0);
+  ExpectCacheStats(sys.machine().model_l3(), 0, 96, 0);
+}
+
+// The MLP run above never traps or evicts. This walk does both: three
+// passes load and store every line of 512 KiB (twice the L2), with an
+// ebreak after each pass and one timer interrupt on the way.
+TEST_F(MachineTest, TrapAndEvictionWalkKnownAnswer) {
+  Load(0, R"(
+      call main             ; ra = handler address
+      ; handler: skip a breakpoint, resume an interrupted instruction
+      csrr t3, cause
+      ldi t4, 3
+      bne t3, t4, resume
+      csrr t5, epc
+      addi t5, t5, 8
+      csrw t5, epc
+    resume:
+      addi s1, s1, 1
+      trapret
+    main:
+      csrw ra, tvec
+      ldi t0, 1
+      csrw t0, ienable
+      ldi t0, 20000
+      csrw t0, timer
+      ldi s0, 3
+    pass:
+      li64 a1, 0x20000
+      li64 a2, 0xA0000
+    walk:
+      ld a3, 0(a1)
+      sd a3, 8(a1)
+      addi a1, a1, 64
+      bltu a1, a2, walk
+      ebreak
+      addi s0, s0, -1
+      bne s0, zero, pass
+      halt
+  )");
+  Start(0);
+  RunUntilStopped(0, 100'000'000);
+  ModelCore& core = machine_.model_core(0);
+  ASSERT_EQ(core.state(), RunState::kDone);
+  EXPECT_EQ(Reg(0, "s1"), 4u);
+  const CoreStats& s = core.stats();
+  EXPECT_EQ(s.instructions, 98'356u);
+  EXPECT_EQ(s.cycles, 3'409'080u);
+  EXPECT_EQ(s.branch_mispredicts, 8u);
+  EXPECT_EQ(s.traps, 4u);
+  ExpectCacheStats(core.caches().l1i, 98'352, 4, 0);
+  ExpectCacheStats(core.caches().l1d, 24'576, 24'576, 24'064);
+  ExpectCacheStats(core.caches().l2, 0, 24'580, 20'484);
+  ExpectCacheStats(machine_.model_l3(), 16'384, 8'196, 0);
 }
 
 // --- IO DRAM ring tests ---

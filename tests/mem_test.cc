@@ -115,6 +115,15 @@ TEST(CacheTest, L2CatchesL1Eviction) {
   EXPECT_EQ(AccessThroughHierarchy(l1, l2, nullptr, 0, path), 4u + 12);
 }
 
+// Set index and tag are a shift and a mask, so a geometry whose line size
+// or set count is not a power of two is refused in every build type.
+TEST(CacheDeathTest, RejectsNonPowerOfTwoGeometry) {
+  EXPECT_DEATH({ Cache c(CacheConfig{384, 48, 2, 4}); }, "powers of two");  // 48 B lines
+  EXPECT_DEATH({ Cache c(CacheConfig{384, 64, 2, 4}); }, "powers of two");  // 3 sets
+  EXPECT_DEATH({ Cache c(CacheConfig{64, 64, 2, 4}); }, "powers of two");   // 0 sets
+  EXPECT_DEATH({ Cache c(CacheConfig{1024, 64, 0, 4}); }, "powers of two"); // 0 ways
+}
+
 TEST(TlbTest, InsertLookupFlush) {
   Tlb tlb;
   tlb.Insert(0x1000, 0x5000, kPteRead | kPteWrite);

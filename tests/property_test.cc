@@ -4,6 +4,8 @@
 // determinism. Seeds are fixed, so failures reproduce exactly.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "src/core/guillotine.h"
 #include "src/isa/disasm.h"
 #include "src/machine/io_dram.h"
@@ -166,6 +168,114 @@ TEST_P(CacheGeometrySweep, InvariantsHold) {
   for (PhysAddr line = 0; line < (1 << 22); line += g.line) {
     EXPECT_FALSE(cache.Probe(line));
   }
+}
+
+// Reference model for the differential test below: set index and tag by
+// division, victim = the way with the smallest (valid, lru, way) triple, so
+// invalid ways go first, then least recently used, then the lowest way.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheGeometry& g)
+      : line_(g.line), ways_(g.ways), sets_(g.size / (g.line * g.ways)),
+        lines_(sets_ * ways_) {}
+
+  bool Access(u64 addr, std::vector<u64>& victims) {
+    Line* base = Set(addr);
+    const u64 tag = addr / line_ / sets_;
+    for (size_t w = 0; w < ways_; ++w) {
+      if (base[w].valid && base[w].tag == tag) {
+        base[w].lru = ++clock_;
+        ++stats.hits;
+        return true;
+      }
+    }
+    ++stats.misses;
+    size_t victim = 0;
+    for (size_t w = 1; w < ways_; ++w) {
+      if (std::tuple(base[w].valid, base[w].lru, w) <
+          std::tuple(base[victim].valid, base[victim].lru, victim)) {
+        victim = w;
+      }
+    }
+    Line& line = base[victim];
+    if (line.valid) {
+      ++stats.evictions;
+      victims.push_back((line.tag * sets_ + (addr / line_) % sets_) * line_);
+    }
+    line = Line{tag, true, ++clock_};
+    return false;
+  }
+
+  bool Invalidate(u64 addr) {
+    Line* base = Set(addr);
+    for (size_t w = 0; w < ways_; ++w) {
+      if (base[w].valid && base[w].tag == addr / line_ / sets_) {
+        base[w].valid = false;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void Flush() { std::fill(lines_.begin(), lines_.end(), Line{}); }
+
+  CacheStats stats;
+
+ private:
+  struct Line {
+    u64 tag = 0;
+    bool valid = false;
+    u64 lru = 0;
+  };
+
+  Line* Set(u64 addr) { return &lines_[(addr / line_) % sets_ * ways_]; }
+
+  u64 line_;
+  size_t ways_;
+  u64 sets_;
+  std::vector<Line> lines_;
+  u64 clock_ = 0;
+};
+
+TEST_P(CacheGeometrySweep, MatchesDivisionIndexedReference) {
+  const auto& g = GetParam();
+  Cache cache(CacheConfig{g.size, g.line, g.ways, 4});
+  std::vector<u64> victims;
+  cache.set_eviction_hook([&victims](PhysAddr a) { victims.push_back(a); });
+  ReferenceCache ref(g);
+  std::vector<u64> ref_victims;
+  Rng rng(g.size + g.line + g.ways);
+  std::vector<u64> recent = {0};
+  for (int i = 0; i < 40'000; ++i) {
+    const u64 roll = rng.NextBelow(1000);
+    const u64 recent_addr = recent[rng.NextBelow(recent.size())];
+    if (roll < 2) {
+      cache.Flush();
+      ref.Flush();
+    } else if (roll < 60) {
+      ASSERT_EQ(cache.Invalidate(recent_addr), ref.Invalidate(recent_addr)) << "op " << i;
+    } else {
+      // Mostly a hot region a few times the capacity, sometimes anywhere
+      // in the 64-bit space, sometimes a recently used address.
+      const u64 addr = roll < 760   ? rng.NextBelow(4 * g.size)
+                       : roll < 860 ? rng.Next()
+                                    : recent_addr;
+      ASSERT_EQ(cache.Access(addr), ref.Access(addr, ref_victims))
+          << "op " << i << " addr " << addr;
+      ASSERT_EQ(victims, ref_victims) << "op " << i;
+      victims.clear();
+      ref_victims.clear();
+      recent.push_back(addr);
+      if (recent.size() > 64) {
+        recent.erase(recent.begin());
+      }
+    }
+  }
+  EXPECT_EQ(cache.stats().hits, ref.stats.hits);
+  EXPECT_EQ(cache.stats().misses, ref.stats.misses);
+  EXPECT_EQ(cache.stats().evictions, ref.stats.evictions);
+  EXPECT_GT(ref.stats.hits, 0u);
+  EXPECT_GT(ref.stats.evictions, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometries, CacheGeometrySweep,
