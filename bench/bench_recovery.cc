@@ -13,10 +13,16 @@
 //   - tamper gate: every cell attempts one bit-flipped recovery and one
 //     retargeted-core migrate; a tampered snapshot that is NOT refused is
 //     an SLO breach, not a table row.
-// Each cell runs twice; '=' marks byte-identical digests; the harness
-// exits nonzero on a breach or a rerun divergence. Flags:
+// Each cell runs twice; '=' marks byte-identical digests. A second table
+// reports the seal's cost per capture and verify on a 1 MiB image at
+// non-zero-page fractions 0, 1/256, 1/8 and 1, against one linear SHA-256
+// of the same flat image: compressions are exact, wall microseconds are
+// reported only. A dense image may cost at most kDenseSealBound x the
+// linear compressions (the page leaves add ~2%). The harness exits nonzero
+// on a breach or a rerun divergence. Flags:
 //   --hv-cores=1,2,4   hv core counts to sweep
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -37,6 +43,12 @@ namespace {
 // quiesce drains the stale epoch before the board comes back, so the two
 // distributions should coincide; the slack only absorbs quantum rounding.
 constexpr u64 kSloFactor = 2;
+
+// A fully non-zero image may cost at most this factor of one linear
+// SHA-256 over the same bytes: the format predicts 65 compressions per page
+// against 64, plus the outer hash over the leaves, about 1.02x.
+constexpr double kDenseSealBound = 1.05;
+constexpr size_t kSealBenchPages = 256;  // a 1 MiB model DRAM
 
 u64 CountKind(const EventTrace& trace, std::string_view kind) {
   u64 count = 0;
@@ -271,6 +283,113 @@ MigrateOutcome RunMigrate(int hv_cores, bool flooded) {
   return out;
 }
 
+struct SealCost {
+  u64 capture_cmp = 0;  // compressions of one CaptureSnapshot
+  u64 verify_cmp = 0;   // compressions of one VerifySnapshotSealed
+  u64 linear_cmp = 0;   // compressions of Sha256::Hash over the flat image
+  double capture_us = 0;  // wall medians
+  double verify_us = 0;
+  double linear_us = 0;
+  bool failed = false;
+};
+
+// Seal cost on a quiesced 1 MiB model DRAM of which `nonzero_pages`
+// pages, spread evenly over the image, hold random non-zero words.
+SealCost MeasureSealCost(size_t nonzero_pages, u32 reps) {
+  SealCost out;
+  MachineConfig mc;
+  mc.num_model_cores = 1;
+  mc.num_hv_cores = 1;
+  mc.model_dram_bytes = kSealBenchPages * kSnapshotPageBytes;
+  mc.io_dram_bytes = 64 * 1024;
+  SimClock clock;
+  EventTrace trace;
+  Machine machine(mc, clock, trace);
+  SoftwareHypervisor hv(machine, nullptr);
+  Rng rng(BenchSeed());
+  for (size_t i = 0; i < nonzero_pages; ++i) {
+    const size_t page = i * kSealBenchPages / nonzero_pages;
+    for (size_t off = 0; off < kSnapshotPageBytes; off += 8) {
+      machine.model_dram().Write64(page * kSnapshotPageBytes + off, rng.Next() | 1);
+    }
+  }
+  using WallClock = std::chrono::steady_clock;
+  auto nanos = [](WallClock::time_point a, WallClock::time_point b) {
+    return static_cast<u64>(std::chrono::nanoseconds(b - a).count());
+  };
+  auto median_us = [](std::vector<u64> ns) {
+    std::sort(ns.begin(), ns.end());
+    return static_cast<double>(Percentile(ns, 0.5)) / 1000.0;
+  };
+  std::vector<u64> capture_ns, verify_ns, linear_ns;
+  for (u32 r = 0; r < reps; ++r) {
+    u64 c0 = Sha256::compressions();
+    auto t0 = WallClock::now();
+    const Result<ModelSnapshot> snapshot = CaptureSnapshot(hv, 0);
+    capture_ns.push_back(nanos(t0, WallClock::now()));
+    out.capture_cmp = Sha256::compressions() - c0;
+    if (!snapshot.ok()) {
+      out.failed = true;
+      return out;
+    }
+    c0 = Sha256::compressions();
+    t0 = WallClock::now();
+    if (!VerifySnapshotSealed(hv, *snapshot).ok()) {
+      out.failed = true;
+    }
+    verify_ns.push_back(nanos(t0, WallClock::now()));
+    out.verify_cmp = Sha256::compressions() - c0;
+    c0 = Sha256::compressions();
+    t0 = WallClock::now();
+    Sha256::Hash(snapshot->dram);
+    linear_ns.push_back(nanos(t0, WallClock::now()));
+    out.linear_cmp = Sha256::compressions() - c0;
+  }
+  out.capture_us = median_us(std::move(capture_ns));
+  out.verify_us = median_us(std::move(verify_ns));
+  out.linear_us = median_us(std::move(linear_ns));
+  return out;
+}
+
+// The seal-cost table. Returns true on a breach.
+bool RunSealCost() {
+  const u32 reps = Smoked(50u, 3u);
+  std::printf(
+      "\nseal cost per capture / verify of a %zu KiB image vs one linear "
+      "SHA-256 (compressions exact; wall us = median of %u, reported only)\n",
+      kSealBenchPages * kSnapshotPageBytes / 1024, reps);
+  bool breached = false;
+  TextTable table({"nonzero_pages", "capture_cmp", "verify_cmp", "linear_cmp",
+                   "cmp_ratio", "capture_us", "verify_us", "linear_us"});
+  for (const size_t pages : {size_t{0}, size_t{1}, kSealBenchPages / 8, kSealBenchPages}) {
+    const SealCost cost = MeasureSealCost(pages, reps);
+    const double ratio = static_cast<double>(cost.capture_cmp) /
+                         static_cast<double>(std::max<u64>(cost.linear_cmp, 1));
+    table.AddRow({std::to_string(pages) + "/" + std::to_string(kSealBenchPages),
+                  std::to_string(cost.capture_cmp), std::to_string(cost.verify_cmp),
+                  std::to_string(cost.linear_cmp), TextTable::Num(ratio, 3),
+                  TextTable::Num(cost.capture_us, 1), TextTable::Num(cost.verify_us, 1),
+                  TextTable::Num(cost.linear_us, 1)});
+    if (cost.failed || cost.verify_cmp != cost.capture_cmp) {
+      std::fprintf(stderr,
+                   "SLO BREACH: %zu non-zero pages: capture/verify failed or "
+                   "costs differ (%llu vs %llu compressions)\n",
+                   pages, static_cast<unsigned long long>(cost.capture_cmp),
+                   static_cast<unsigned long long>(cost.verify_cmp));
+      breached = true;
+    }
+    if (pages == kSealBenchPages && ratio > kDenseSealBound) {
+      std::fprintf(stderr,
+                   "SLO BREACH: a dense image seals at %.3fx the linear "
+                   "compressions (bound %.2fx)\n",
+                   ratio, kDenseSealBound);
+      breached = true;
+    }
+  }
+  table.Print();
+  return breached;
+}
+
 int Run(const std::vector<u64>& hv_core_counts) {
   BenchHeader(
       "RECOVERBENCH / snapshot recovery + quarantine-migrate",
@@ -366,6 +485,7 @@ int Run(const std::vector<u64>& hv_core_counts) {
     }
   }
   table.Print();
+  breached = RunSealCost() || breached;
   if (diverged) {
     std::fprintf(stderr, "DETERMINISM BREACH: rerun digests diverged ('!')\n");
   }
@@ -375,7 +495,9 @@ int Run(const std::vector<u64>& hv_core_counts) {
       "comes back, so flooding the suspect buys the adversary nothing. "
       "tamper_ref == samples and the refused migrate show the sealed-digest "
       "gate holds on both paths; remap/kv columns account every session the "
-      "handover moved; '=' digests confirm byte-identical reruns");
+      "handover moved; '=' digests confirm byte-identical reruns. The seal "
+      "hashes only non-zero pages, so capture and verify cost tracks the "
+      "non-zero fraction and a dense image costs about 1.02x a linear hash");
   return (breached || diverged) ? 1 : 0;
 }
 

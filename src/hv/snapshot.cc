@@ -1,5 +1,9 @@
 #include "src/hv/snapshot.h"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+
 #include "src/crypto/sha256.h"
 
 namespace guillotine {
@@ -17,22 +21,37 @@ Bytes SerializeArch(const ArchState& arch) {
   return out;
 }
 
+bool IsZeroPage(const u8* page) {
+  static constexpr std::array<u8, kSnapshotPageBytes> kZeroPage{};
+  return std::memcmp(page, kZeroPage.data(), kZeroPage.size()) == 0;
+}
+
 // The sealed preimage: a fixed header (target core, capture time, DRAM
-// geometry) followed by the serialized architectural state and the memory
-// image. Folding the header in is what makes a retarget (core/taken_at
-// mutation) or a geometry swap indistinguishable from a bit-flip to
-// IntegrityOk.
+// geometry, page size), the serialized architectural state, then one leaf
+// per DRAM page. Folding the header in is what makes a retarget
+// (core/taken_at mutation) or a geometry swap indistinguishable from a
+// bit-flip to IntegrityOk. Model DRAM is mostly untouched zero pages, and
+// those cost a read but no hashing.
 Sha256Digest DigestOver(int core, Cycles taken_at, const ArchState& arch,
-                        const Bytes& dram) {
+                        std::span<const u8> dram) {
   Sha256 hasher;
   Bytes header;
   PutU64(header, static_cast<u64>(core));
   PutU64(header, taken_at);
   PutU64(header, dram.size());
+  PutU64(header, kSnapshotPageBytes);
   hasher.Update(std::span<const u8>(header.data(), header.size()));
   const Bytes arch_bytes = SerializeArch(arch);
   hasher.Update(std::span<const u8>(arch_bytes.data(), arch_bytes.size()));
-  hasher.Update(std::span<const u8>(dram.data(), dram.size()));
+  for (size_t off = 0; off < dram.size(); off += kSnapshotPageBytes) {
+    const std::span<const u8> page =
+        dram.subspan(off, std::min(kSnapshotPageBytes, dram.size() - off));
+    const Sha256Digest leaf =
+        page.size() == kSnapshotPageBytes && IsZeroPage(page.data())
+            ? kZeroPageLeaf
+            : Sha256::Hash(page);
+    hasher.Update(std::span<const u8>(leaf.data(), leaf.size()));
+  }
   return hasher.Finalize();
 }
 }  // namespace

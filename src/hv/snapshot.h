@@ -15,6 +15,18 @@
 
 namespace guillotine {
 
+// The seal hashes model DRAM as a sequence of page leaves (see
+// ModelSnapshot::ComputeDigest).
+inline constexpr size_t kSnapshotPageBytes = 4096;
+
+// SHA-256 of kSnapshotPageBytes zero bytes: the leaf of every all-zero page.
+// A literal rather than a value computed on first use, so the first seal in
+// a process costs exactly as many compressions as every later one.
+inline constexpr Sha256Digest kZeroPageLeaf = {
+    0xad, 0x7f, 0xac, 0xb2, 0x58, 0x6f, 0xc6, 0xe9, 0x66, 0xc0, 0x04,
+    0xd7, 0xd1, 0xd1, 0x6b, 0x02, 0x4f, 0x58, 0x05, 0xff, 0x7c, 0xb4,
+    0x7c, 0x7a, 0x85, 0xda, 0xbd, 0x8b, 0x48, 0x89, 0x2c, 0xa7};
+
 struct ModelSnapshot {
   int core = 0;
   Cycles taken_at = 0;
@@ -22,11 +34,16 @@ struct ModelSnapshot {
   Bytes dram;            // full model-DRAM image
   Sha256Digest digest{}; // over core id + capture time + geometry + arch + dram
 
-  // Recomputes the digest over the current contents. The seal covers the
-  // target core id, the capture time, and the DRAM geometry in addition to
-  // the architectural state and memory image — so retargeting a snapshot
-  // (mutating `core` or `taken_at` after capture) trips IntegrityOk just
-  // like a memory bit-flip does.
+  // Recomputes the digest over the current contents:
+  //   SHA-256(header || arch || leaf_0 || ... || leaf_{n-1})
+  // The header is core id, capture time, DRAM size and page size (u64 LE
+  // each); arch is the serialized registers, pc and CSRs. leaf_i is the
+  // SHA-256 of the i-th kSnapshotPageBytes page (the last may be partial),
+  // except that a full all-zero page contributes kZeroPageLeaf unhashed.
+  // Every byte of the image is still read, so a flip anywhere changes the
+  // digest; and because the header is sealed, retargeting a snapshot
+  // (mutating `core` or `taken_at` after capture) or truncating its image
+  // trips IntegrityOk just like a memory bit-flip does.
   Sha256Digest ComputeDigest() const;
   bool IntegrityOk() const { return DigestEqual(digest, ComputeDigest()); }
 

@@ -13,7 +13,6 @@
 #include <cstring>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -22,14 +21,19 @@ namespace guillotine {
 
 class Dram {
  public:
-  explicit Dram(size_t size_bytes, std::string name = "dram")
-      : bytes_(size_bytes, 0), name_(std::move(name)) {}
+  // The module starts all zero. Its bytes are an anonymous private mapping,
+  // so the host supplies zero pages on first touch: a deployment pays only
+  // for the pages its model and hypervisor actually use.
+  explicit Dram(size_t size_bytes, std::string name = "dram");
+  ~Dram();
+  Dram(const Dram&) = delete;
+  Dram& operator=(const Dram&) = delete;
 
-  size_t size() const { return bytes_.size(); }
+  size_t size() const { return size_; }
   const std::string& name() const { return name_; }
 
   bool InBounds(PhysAddr addr, size_t len) const {
-    return addr + len >= addr && addr + len <= bytes_.size();
+    return addr + len >= addr && addr + len <= size_;
   }
 
   // Scalar accessors (little-endian). Return false when out of bounds; the
@@ -51,8 +55,8 @@ class Dram {
   void Clear();
 
   // Direct access for the machine's internal plumbing (ring views).
-  std::span<u8> raw() { return bytes_; }
-  std::span<const u8> raw() const { return bytes_; }
+  std::span<u8> raw() { return {bytes_, size_}; }
+  std::span<const u8> raw() const { return {bytes_, size_}; }
 
  private:
   // Model memory is little-endian, so a host-order copy is the encoding.
@@ -63,7 +67,7 @@ class Dram {
     if (!InBounds(addr, sizeof(T))) {
       return false;
     }
-    std::memcpy(&out, bytes_.data() + addr, sizeof(T));
+    std::memcpy(&out, bytes_ + addr, sizeof(T));
     return true;
   }
 
@@ -72,11 +76,12 @@ class Dram {
     if (!InBounds(addr, sizeof(T))) {
       return false;
     }
-    std::memcpy(bytes_.data() + addr, &v, sizeof(T));
+    std::memcpy(bytes_ + addr, &v, sizeof(T));
     return true;
   }
 
-  std::vector<u8> bytes_;
+  u8* bytes_ = nullptr;  // nullptr when size_ == 0
+  size_t size_ = 0;
   std::string name_;
 };
 

@@ -2,6 +2,9 @@
 // snapshots, audit reports, and the concrete Probation policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/common/rng.h"
 #include "src/core/guillotine.h"
 #include "src/hv/audit_report.h"
 #include "src/hv/snapshot.h"
@@ -18,6 +21,113 @@ MachineConfig SmallConfig() {
   config.model_dram_bytes = 256 * 1024;
   config.io_dram_bytes = 64 * 1024;
   return config;
+}
+
+// --- Snapshot seal format ---
+
+// An independent rendering of the seal format documented on
+// ModelSnapshot::ComputeDigest: the whole preimage is materialized and every
+// page is hashed, all-zero or not.
+Sha256Digest ReferenceSeal(const ModelSnapshot& s) {
+  Bytes preimage;
+  PutU64(preimage, static_cast<u64>(s.core));
+  PutU64(preimage, s.taken_at);
+  PutU64(preimage, s.dram.size());
+  PutU64(preimage, 4096);
+  for (u64 reg : s.arch.x) {
+    PutU64(preimage, reg);
+  }
+  PutU64(preimage, s.arch.pc);
+  for (u64 csr : s.arch.csr) {
+    PutU64(preimage, csr);
+  }
+  for (size_t off = 0; off < s.dram.size(); off += 4096) {
+    const size_t len = std::min<size_t>(4096, s.dram.size() - off);
+    const Sha256Digest leaf = Sha256::Hash(std::span<const u8>(s.dram.data() + off, len));
+    preimage.insert(preimage.end(), leaf.begin(), leaf.end());
+  }
+  return Sha256::Hash(preimage);
+}
+
+// SHA-256 compressions to hash `len` bytes: the message plus 9 bytes of
+// padding and length, rounded up to 64-byte blocks.
+u64 Blocks(size_t len) { return (len + 9 + 63) / 64; }
+
+// Bytes of the seal preimage before the page leaves: the 4 x u64 header and
+// the serialized registers, pc and CSRs.
+constexpr size_t kSealPrefixBytes =
+    4 * 8 + (kNumRegisters + 1 + static_cast<size_t>(Csr::kCount)) * 8;
+
+// Declared first so that, run as part of the whole binary, it holds the first
+// seal in the process: a zero-page leaf computed on first use would charge
+// that seal extra compressions and make seal costs depend on test order.
+TEST(SnapshotSealTest, FirstSealInProcessCostsTheSameAsTheSecond) {
+  ModelSnapshot snapshot;
+  snapshot.dram.assign(16 * 4096, 0);
+  snapshot.dram[3 * 4096 + 17] = 0x5A;
+  snapshot.dram[9 * 4096 + 4095] = 0xA5;
+  u64 before = Sha256::compressions();
+  const Sha256Digest first = snapshot.ComputeDigest();
+  const u64 first_cost = Sha256::compressions() - before;
+  before = Sha256::compressions();
+  const Sha256Digest second = snapshot.ComputeDigest();
+  const u64 second_cost = Sha256::compressions() - before;
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first_cost, second_cost);
+  // Two hashed pages plus the outer hash over prefix + 16 leaves; the 14
+  // zero pages cost nothing.
+  EXPECT_EQ(first_cost, 2 * Blocks(4096) + Blocks(kSealPrefixBytes + 16 * 32));
+}
+
+TEST(SnapshotSealTest, ZeroPageLeafIsHashOfZeroPage) {
+  EXPECT_EQ(kZeroPageLeaf, Sha256::Hash(Bytes(kSnapshotPageBytes, 0)));
+  EXPECT_EQ(DigestHex(kZeroPageLeaf),
+            "ad7facb2586fc6e966c004d7d1d16b024f5805ff7cb47c7a85dabd8b48892ca7");
+}
+
+TEST(SnapshotSealTest, SealMatchesReferenceOnZeroSparseAndDenseImages) {
+  Rng rng(15);
+  // Sizes cover an empty image, a lone partial page, whole pages, and a
+  // partial last page after full ones.
+  const size_t sizes[] = {0, 100, 4096, 3 * 4096, 5 * 4096 + 1, 16 * 4096 + 2049};
+  for (const size_t size : sizes) {
+    // 0: all zero (so a short tail page is zero too, and must still be
+    // hashed rather than mapped to kZeroPageLeaf); 1: sparse; 2: dense.
+    for (const int fill : {0, 1, 2}) {
+      ModelSnapshot snapshot;
+      snapshot.core = static_cast<int>(rng.NextBelow(4));
+      snapshot.taken_at = rng.Next();
+      for (u64& reg : snapshot.arch.x) {
+        reg = rng.Next();
+      }
+      snapshot.arch.pc = rng.Next();
+      for (u64& csr : snapshot.arch.csr) {
+        csr = rng.Next();
+      }
+      snapshot.dram.assign(size, 0);
+      if (fill == 2) {
+        for (u8& b : snapshot.dram) {
+          b = static_cast<u8>(rng.Next());
+        }
+      } else if (fill == 1 && size > 0) {
+        // A few random bytes, including the very last one of the image, so
+        // some pages are non-zero only at an edge.
+        for (int i = 0; i < 3; ++i) {
+          snapshot.dram[rng.NextBelow(size)] = static_cast<u8>(rng.Next() | 1);
+        }
+        snapshot.dram.back() = 1;
+      }
+      EXPECT_EQ(snapshot.ComputeDigest(), ReferenceSeal(snapshot))
+          << "size=" << size << " fill=" << fill;
+      // PortableDigest is the same format with the clock fields zeroed.
+      ModelSnapshot portable = snapshot;
+      portable.taken_at = 0;
+      portable.arch.csr[static_cast<size_t>(Csr::kCycle)] = 0;
+      portable.arch.csr[static_cast<size_t>(Csr::kCoreId)] = 0;
+      EXPECT_EQ(snapshot.PortableDigest(), ReferenceSeal(portable))
+          << "size=" << size << " fill=" << fill;
+    }
+  }
 }
 
 class HvExtrasTest : public ::testing::Test {
@@ -144,6 +254,7 @@ TEST_F(HvExtrasTest, EveryTamperedSnapshotRegionIsCaughtAndAudited) {
   ASSERT_TRUE(hv_.LoadModel(0, code, 0x1000, 0x1000).ok());
   ASSERT_TRUE(hv_.StartModel(0).ok());
   machine_.model_core(0).Run(100'000);
+  ASSERT_TRUE(machine_.model_dram().Write64(5 * kSnapshotPageBytes + 64, 0xC0FFEE));
   const auto snapshot = CaptureSnapshot(hv_, 0);
   ASSERT_TRUE(snapshot.ok());
 
@@ -156,9 +267,37 @@ TEST_F(HvExtrasTest, EveryTamperedSnapshotRegionIsCaughtAndAudited) {
     EXPECT_EQ(trace_.CountKind("snapshot.tamper"), tamper_events) << what;
   };
 
+  auto page = [](ModelSnapshot& s, size_t index) {
+    return std::span<u8>(s.dram.data() + index * kSnapshotPageBytes, kSnapshotPageBytes);
+  };
+  auto is_zero = [&](size_t index) {
+    const auto first = snapshot->dram.begin() + index * kSnapshotPageBytes;
+    return std::all_of(first, first + kSnapshotPageBytes, [](u8 b) { return b == 0; });
+  };
+  // Pages 1 (the code) and 5 (the marker) are the non-zero ones; 7 and 9
+  // are untouched zero pages.
+  ASSERT_FALSE(is_zero(1));
+  ASSERT_FALSE(is_zero(5));
+  ASSERT_TRUE(is_zero(7));
+  ASSERT_TRUE(is_zero(9));
+
   ModelSnapshot dram_flip = *snapshot;
-  dram_flip.dram[0x9000] ^= 0x01;  // single-bit flip in memory
-  expect_rejected(dram_flip, "dram bit flip");
+  dram_flip.dram[0x9000] ^= 0x01;  // single-bit flip inside an all-zero page
+  expect_rejected(dram_flip, "zero-page bit flip");
+
+  ModelSnapshot code_flip = *snapshot;
+  code_flip.dram[0x1000] ^= 0x01;  // single-bit flip inside a non-zero page
+  expect_rejected(code_flip, "non-zero-page bit flip");
+
+  ModelSnapshot swapped = *snapshot;
+  std::swap_ranges(page(swapped, 1).begin(), page(swapped, 1).end(),
+                   page(swapped, 5).begin());
+  expect_rejected(swapped, "two non-zero pages swapped");
+
+  ModelSnapshot moved = *snapshot;
+  std::copy(page(moved, 5).begin(), page(moved, 5).end(), page(moved, 7).begin());
+  std::fill(page(moved, 5).begin(), page(moved, 5).end(), 0);
+  expect_rejected(moved, "non-zero page moved into a zero slot");
 
   ModelSnapshot reg_flip = *snapshot;
   reg_flip.arch.x[4] ^= 1;  // register tamper (77 -> 76)
@@ -195,8 +334,36 @@ TEST_F(HvExtrasTest, RetargetedOrRedatedSnapshotRefusesRestore) {
   truncated.dram.resize(truncated.dram.size() - 8);
   EXPECT_FALSE(truncated.IntegrityOk());
   EXPECT_EQ(RestoreSnapshot(hv_, truncated).code(), StatusCode::kUnauthenticated);
-  EXPECT_EQ(trace_.CountKind("snapshot.tamper"), 3u);
+  // Dropping a whole trailing zero page removes one kZeroPageLeaf; the
+  // sealed DRAM size still catches it.
+  ModelSnapshot page_truncated = *snapshot;
+  page_truncated.dram.resize(page_truncated.dram.size() - kSnapshotPageBytes);
+  EXPECT_FALSE(page_truncated.IntegrityOk());
+  EXPECT_EQ(RestoreSnapshot(hv_, page_truncated).code(), StatusCode::kUnauthenticated);
+  EXPECT_EQ(trace_.CountKind("snapshot.tamper"), 4u);
   EXPECT_EQ(trace_.CountKind("snapshot.restore"), 0u);
+}
+
+TEST(SnapshotSealTest, FlipInPartialLastPageRefusesRestore) {
+  MachineConfig config = SmallConfig();
+  config.model_dram_bytes = 64 * 1024 + 100;  // 16 full pages + a 100-byte tail
+  SimClock clock;
+  EventTrace trace;
+  Machine machine(config, clock, trace);
+  SoftwareHypervisor hv(machine, nullptr);
+  ASSERT_TRUE(machine.model_dram().Write8(config.model_dram_bytes - 1, 0x42));
+  const auto snapshot = CaptureSnapshot(hv, 0);
+  ASSERT_TRUE(snapshot.ok());
+  ModelSnapshot tampered = *snapshot;
+  tampered.dram.back() ^= 0x01;
+  EXPECT_FALSE(tampered.IntegrityOk());
+  EXPECT_EQ(RestoreSnapshot(hv, tampered).code(), StatusCode::kUnauthenticated);
+  EXPECT_EQ(trace.CountKind("snapshot.tamper"), 1u);
+  ModelSnapshot zeroed_tail = *snapshot;
+  zeroed_tail.dram.back() = 0;  // the tail page becomes all zero
+  EXPECT_EQ(RestoreSnapshot(hv, zeroed_tail).code(), StatusCode::kUnauthenticated);
+  EXPECT_EQ(trace.CountKind("snapshot.tamper"), 2u);
+  EXPECT_TRUE(RestoreSnapshot(hv, *snapshot).ok());
 }
 
 TEST_F(HvExtrasTest, TamperedSnapshotRefusalHashesImageOnce) {
@@ -207,7 +374,10 @@ TEST_F(HvExtrasTest, TamperedSnapshotRefusalHashesImageOnce) {
   u64 before = Sha256::compressions();
   const Sha256Digest recomputed = tampered.ComputeDigest();
   const u64 one_seal = Sha256::compressions() - before;
-  ASSERT_GT(one_seal, tampered.dram.size() / 64);
+  // The fixture's 256 KiB image is 64 zero pages until the flip makes page 0
+  // non-zero: one hashed page plus the outer hash over prefix + 64 leaves.
+  // 65 + 38 compressions.
+  ASSERT_EQ(one_seal, 103u);
   // The refusal recomputes the seal once and reports that same digest: the
   // image is not hashed a second time just to fill the trace.
   before = Sha256::compressions();
@@ -218,10 +388,11 @@ TEST_F(HvExtrasTest, TamperedSnapshotRefusalHashesImageOnce) {
   EXPECT_NE(detail.find("recomputed=" + DigestHex(recomputed).substr(0, 16)),
             std::string::npos)
       << detail;
-  // A clean snapshot costs the same single seal.
+  // A clean snapshot costs a single seal too: of its own all-zero image,
+  // which is the outer hash alone.
   before = Sha256::compressions();
   EXPECT_TRUE(VerifySnapshotSealed(hv_, *snapshot).ok());
-  EXPECT_EQ(Sha256::compressions() - before, one_seal);
+  EXPECT_EQ(Sha256::compressions() - before, 38u);
 }
 
 TEST_F(HvExtrasTest, RestoreDropsStaleEpochIrqsAndRings) {
@@ -288,8 +459,8 @@ TEST_F(HvExtrasTest, AuditReportAggregatesPortsAndSecurity) {
 
 // Known answer for the snapshot seal. A fixed-seed default deployment that
 // hosted a model and served one request seals to these digests. They pin the
-// seal preimage (header + arch + DRAM) and the SHA-256 output together, so a
-// change to either moves them and must say why.
+// seal preimage (header + arch + DRAM page leaves) and the SHA-256 output
+// together, so a change to either moves them and must say why.
 TEST(SnapshotSealTest, SnapshotSealKnownAnswer) {
   GuillotineSystem sys(DefaultScenarioDeployment());
   ASSERT_TRUE(sys.AttachDefaultDevices().ok());
@@ -301,10 +472,11 @@ TEST(SnapshotSealTest, SnapshotSealKnownAnswer) {
   const auto snapshot = CaptureSnapshot(sys.hv(), 0);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   EXPECT_EQ(snapshot->dram.size(), 1u << 20);
+  EXPECT_EQ(snapshot->digest, ReferenceSeal(*snapshot));
   EXPECT_EQ(DigestHex(snapshot->digest),
-            "120c757d71cec46c4d8ce4375841e9ed939637d1bb27b333e2621cc68124c2bb");
+            "ca5b09f8c4d7788298535b9071011863d7bc0c63e4e5b28119dec6b5597c9cc3");
   EXPECT_EQ(DigestHex(snapshot->PortableDigest()),
-            "ee7ef39e4116a473789f57e88f1d7f5617201eb400098c2b7c4348977836c558");
+            "be55ea55e356f32dfd54eb33bdfc575503d2aa34a95f599d9dc831adeb603e7a");
 }
 
 // --- Probation policy through the full console path ---

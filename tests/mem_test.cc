@@ -1,6 +1,10 @@
 // Unit tests for src/mem: DRAM, caches, TLB, MMU paging + exec lockdown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <type_traits>
+#include <utility>
+
 #include "src/mem/cache.h"
 #include "src/mem/dram.h"
 #include "src/mem/mmu.h"
@@ -44,6 +48,49 @@ TEST(DramTest, ClearZeroes) {
   u64 v = 1;
   dram.Read64(0, v);
   EXPECT_EQ(v, 0u);
+}
+
+// A module owns its mapping: copying one would double-unmap it.
+static_assert(!std::is_copy_constructible_v<Dram>);
+static_assert(!std::is_copy_assignable_v<Dram>);
+
+TEST(DramTest, LargeModuleStartsAllZeroUpToItsLastByte) {
+  // Not a whole number of pages, so the tail page is partial.
+  const size_t size = (16u << 20) + 100;
+  Dram dram(size, "hv_dram");
+  EXPECT_EQ(dram.size(), size);
+  EXPECT_EQ(dram.raw().size(), size);
+  const std::span<const u8> bytes = std::as_const(dram).raw();
+  EXPECT_TRUE(std::all_of(bytes.begin(), bytes.end(), [](u8 b) { return b == 0; }));
+  ASSERT_TRUE(dram.Write8(size - 1, 0xAB));
+  u8 last = 0;
+  ASSERT_TRUE(dram.Read8(size - 1, last));
+  EXPECT_EQ(last, 0xAB);
+  u16 past = 0;
+  EXPECT_FALSE(dram.Read16(size - 1, past));
+  EXPECT_FALSE(dram.InBounds(~0ULL - 3, 8));  // wraps
+}
+
+TEST(DramTest, ClearZeroesEveryTouchedPage) {
+  Dram dram(64 * 1024);
+  for (PhysAddr addr = 0; addr < dram.size(); addr += 4096 + 8) {
+    ASSERT_TRUE(dram.Write64(addr, ~0ULL));
+  }
+  dram.Clear();
+  const std::span<const u8> bytes = std::as_const(dram).raw();
+  EXPECT_TRUE(std::all_of(bytes.begin(), bytes.end(), [](u8 b) { return b == 0; }));
+}
+
+TEST(DramTest, ZeroSizedModuleRefusesEveryAccess) {
+  Dram dram(0);
+  EXPECT_EQ(dram.size(), 0u);
+  EXPECT_TRUE(dram.raw().empty());
+  u8 v = 0;
+  EXPECT_FALSE(dram.Read8(0, v));
+  EXPECT_FALSE(dram.Write8(0, 1));
+  Bytes one(1);
+  EXPECT_FALSE(dram.ReadBlock(0, one).ok());
+  dram.Clear();
 }
 
 TEST(CacheTest, MissThenHit) {
