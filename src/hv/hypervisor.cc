@@ -702,25 +702,30 @@ ServiceStats SoftwareHypervisor::ServiceOnce(int hv_core_id, bool poll_all) {
   // Pending IRQs are always consumed; a poll pass MERGES the sweep after
   // them rather than replacing them, so doorbells (including self re-arms
   // from an exhausted slice) are never silently discarded by a poll.
-  std::vector<u32> to_service = hv.TakePendingIrqs();
+  std::vector<u32>& to_service = to_service_;
+  to_service.clear();
+  hv.TakePendingIrqs(to_service);
   const size_t irq_count = to_service.size();
   if (poll_all) {
-    const std::vector<u32> all = ports_.PortIds();
-    to_service.insert(to_service.end(), all.begin(), all.end());
+    ports_.AppendPortIds(to_service);
   }
   pending_completions_.assign(static_cast<size_t>(machine_.num_model_cores()), 0);
   // With batching on, popped requests park here until the pass-wide
   // EvaluateBatch; without detectors there is nothing to batch.
   const bool batched = detectors_ != nullptr && config_.batch_detector_observations;
-  std::vector<PendingRequest> pending;
+  std::vector<PendingRequest>& pending = pending_;
+  pending.clear();
   // Dedup while preserving arrival order. Port ids are dense from zero
   // (PortTable::Create), so a flat seen-bitmap does it in O(n) — the old
   // pairwise scan was quadratic in the IRQ burst size. Classification
   // happens here; servicing below runs every kill-class port before any
   // bulk port, regardless of arrival order.
-  std::vector<u8> seen(ports_.size(), 0);
-  std::vector<PortBinding*> kill_ports;
-  std::vector<PortBinding*> bulk_ports;
+  std::vector<u8>& seen = seen_;
+  seen.assign(ports_.size(), 0);
+  std::vector<PortBinding*>& kill_ports = kill_ports_;
+  std::vector<PortBinding*>& bulk_ports = bulk_ports_;
+  kill_ports.clear();
+  bulk_ports.clear();
   for (size_t i = 0; i < to_service.size(); ++i) {
     const u32 port_id = to_service[i];
     const bool from_irq = i < irq_count;

@@ -327,6 +327,13 @@ class SoftwareHypervisor {
   ServiceStats lifetime_stats_;
   std::vector<ServiceStats> core_lifetime_;      // one slot per hv core
   std::vector<u64> pending_completions_;         // per model core, one pass
+  // ServiceOnce's working sets, cleared at the start of every pass and kept
+  // so that a warm pass allocates none of them.
+  std::vector<u32> to_service_;
+  std::vector<u8> seen_;
+  std::vector<PortBinding*> kill_ports_;
+  std::vector<PortBinding*> bulk_ports_;
+  std::vector<PendingRequest> pending_;
   std::vector<PortHandoffRecord> handoff_log_;
   u64 mis_owned_services_ = 0;
   u64 severed_traffic_ = 0;

@@ -61,10 +61,14 @@ void PortTable::RevokeAll() {
 std::vector<u32> PortTable::PortIds() const {
   std::vector<u32> out;
   out.reserve(bindings_.size());
+  AppendPortIds(out);
+  return out;
+}
+
+void PortTable::AppendPortIds(std::vector<u32>& out) const {
   for (const auto& [id, binding] : bindings_) {
     out.push_back(id);
   }
-  return out;
 }
 
 PortGuestInfo PortTable::GuestInfo(const PortBinding& binding) {

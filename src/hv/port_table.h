@@ -110,6 +110,7 @@ class PortTable {
   void RevokeAll();
 
   std::vector<u32> PortIds() const;
+  void AppendPortIds(std::vector<u32>& out) const;
   size_t size() const { return bindings_.size(); }
 
   static PortGuestInfo GuestInfo(const PortBinding& binding);

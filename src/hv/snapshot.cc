@@ -1,8 +1,6 @@
 #include "src/hv/snapshot.h"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 
 #include "src/crypto/sha256.h"
 
@@ -21,10 +19,7 @@ Bytes SerializeArch(const ArchState& arch) {
   return out;
 }
 
-bool IsZeroPage(const u8* page) {
-  static constexpr std::array<u8, kSnapshotPageBytes> kZeroPage{};
-  return std::memcmp(page, kZeroPage.data(), kZeroPage.size()) == 0;
-}
+static_assert(kSnapshotPageBytes == kHostPageBytes, "leaves use IsZeroPage");
 
 // The sealed preimage: a fixed header (target core, capture time, DRAM
 // geometry, page size), the serialized architectural state, then one leaf

@@ -12,6 +12,7 @@
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha256.h"
 #include "src/hv/hypervisor.h"
+#include "src/mem/zero_pages.h"
 
 namespace guillotine {
 
@@ -31,7 +32,10 @@ struct ModelSnapshot {
   int core = 0;
   Cycles taken_at = 0;
   ArchState arch;
-  Bytes dram;            // full model-DRAM image
+  // Full model-DRAM image. CaptureSnapshot sizes it once on a fresh zero
+  // mapping and copies in only the non-zero pages, so the image holds host
+  // memory for the pages the model wrote and no more.
+  ZeroPageVector<u8> dram;
   Sha256Digest digest{}; // over core id + capture time + geometry + arch + dram
 
   // Recomputes the digest over the current contents:

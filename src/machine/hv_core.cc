@@ -20,9 +20,14 @@ bool HypervisorCore::DeliverDoorbell(u32 port_id, Cycles now) {
 }
 
 std::vector<u32> HypervisorCore::TakePendingIrqs() {
-  std::vector<u32> out(pending_irqs_.begin(), pending_irqs_.end());
-  pending_irqs_.clear();
+  std::vector<u32> out;
+  TakePendingIrqs(out);
   return out;
+}
+
+void HypervisorCore::TakePendingIrqs(std::vector<u32>& out) {
+  out.insert(out.end(), pending_irqs_.begin(), pending_irqs_.end());
+  pending_irqs_.clear();
 }
 
 Cycles HypervisorCore::AccessMemory(PhysAddr addr) {

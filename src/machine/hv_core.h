@@ -44,6 +44,8 @@ class HypervisorCore {
   // appear here — the service loop discovers their requests when it next
   // drains the rings.
   std::vector<u32> TakePendingIrqs();
+  // The same, appended to `out` (the service loop's reused buffer).
+  void TakePendingIrqs(std::vector<u32>& out);
 
   // Direct IRQ injection that bypasses the LAPIC token bucket. Guest
   // doorbells never take this path; it exists for hypervisor-internal

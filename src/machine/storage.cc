@@ -1,14 +1,12 @@
 #include "src/machine/storage.h"
 
-#include <cstring>
-
 namespace guillotine {
 
 StorageDevice::StorageDevice(u64 num_sectors, u32 sector_bytes, std::string name)
     : num_sectors_(num_sectors),
       sector_bytes_(sector_bytes),
       name_(std::move(name)),
-      blocks_(num_sectors * sector_bytes, 0) {}
+      blocks_(num_sectors * sector_bytes, name_) {}
 
 IoResponse StorageDevice::Handle(const IoRequest& request, Cycles /*now*/,
                                  Cycles& service_cycles) {
@@ -29,14 +27,13 @@ IoResponse StorageDevice::Handle(const IoRequest& request, Cycles /*now*/,
         service_cycles = 50;
         return resp;
       }
-      if (sector + count > num_sectors_) {
+      if (!SectorsInRange(sector, count)) {
         resp.status = 2;
         service_cycles = 50;
         return resp;
       }
       resp.payload.resize(static_cast<size_t>(count) * sector_bytes_);
-      std::memcpy(resp.payload.data(), blocks_.data() + sector * sector_bytes_,
-                  resp.payload.size());
+      blocks_.ReadBlock(sector * sector_bytes_, resp.payload).ok();  // in range
       // Seek + per-sector transfer model.
       service_cycles = 20'000 + static_cast<Cycles>(count) * 4'000;
       resp.status = 0;
@@ -52,13 +49,14 @@ IoResponse StorageDevice::Handle(const IoRequest& request, Cycles /*now*/,
       }
       const size_t data_len = request.payload.size() - 8;
       const u64 count = (data_len + sector_bytes_ - 1) / sector_bytes_;
-      if (data_len == 0 || sector + count > num_sectors_) {
+      if (data_len == 0 || !SectorsInRange(sector, count)) {
         resp.status = 2;
         service_cycles = 50;
         return resp;
       }
-      std::memcpy(blocks_.data() + sector * sector_bytes_, request.payload.data() + 8,
-                  data_len);
+      blocks_.WriteBlock(sector * sector_bytes_,
+                         std::span<const u8>(request.payload).subspan(8))
+          .ok();  // in range
       service_cycles = 20'000 + count * 4'000;
       resp.status = 0;
       return resp;
@@ -76,19 +74,19 @@ IoResponse StorageDevice::Handle(const IoRequest& request, Cycles /*now*/,
   return resp;
 }
 
+// `sector <= num_sectors_` keeps the byte offset from wrapping; the Dram
+// bounds check covers the rest.
 Status StorageDevice::WriteSectors(u64 sector, std::span<const u8> data) {
-  if (sector * sector_bytes_ + data.size() > blocks_.size()) {
+  if (sector > num_sectors_ || !blocks_.WriteBlock(sector * sector_bytes_, data).ok()) {
     return OutOfRange("storage write past end");
   }
-  std::memcpy(blocks_.data() + sector * sector_bytes_, data.data(), data.size());
   return OkStatus();
 }
 
 Status StorageDevice::ReadSectors(u64 sector, std::span<u8> out) const {
-  if (sector * sector_bytes_ + out.size() > blocks_.size()) {
+  if (sector > num_sectors_ || !blocks_.ReadBlock(sector * sector_bytes_, out).ok()) {
     return OutOfRange("storage read past end");
   }
-  std::memcpy(out.data(), blocks_.data() + sector * sector_bytes_, out.size());
   return OkStatus();
 }
 

@@ -3,9 +3,8 @@
 #ifndef SRC_MACHINE_STORAGE_H_
 #define SRC_MACHINE_STORAGE_H_
 
-#include <vector>
-
 #include "src/machine/device.h"
+#include "src/mem/dram.h"
 
 namespace guillotine {
 
@@ -28,15 +27,20 @@ class StorageDevice : public Device {
                     Cycles& service_cycles) override;
 
   // Out-of-band accessors for test/bench setup (loading datasets onto the
-  // "disk" before the model boots).
+  // "disk" before the model boots). `data` / `out` may end mid-sector.
   Status WriteSectors(u64 sector, std::span<const u8> data);
   Status ReadSectors(u64 sector, std::span<u8> out) const;
 
  private:
+  // True when sectors [sector, sector + count) exist; never wraps.
+  bool SectorsInRange(u64 sector, u64 count) const {
+    return sector <= num_sectors_ && count <= num_sectors_ - sector;
+  }
+
   u64 num_sectors_;
   u32 sector_bytes_;
   std::string name_;
-  std::vector<u8> blocks_;
+  Dram blocks_;  // lazily zeroed: a fresh disk costs only the sectors written
 };
 
 }  // namespace guillotine

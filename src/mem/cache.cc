@@ -54,13 +54,7 @@ bool Cache::Probe(PhysAddr addr) const {
   return false;
 }
 
-void Cache::Flush() {
-  for (auto& line : lines_) {
-    line.valid = false;
-    line.tag = 0;
-    line.lru = 0;
-  }
-}
+void Cache::Flush() { ZeroAll(lines_); }
 
 bool Cache::Invalidate(PhysAddr addr) {
   const u64 tag = Tag(addr);

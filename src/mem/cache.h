@@ -11,9 +11,9 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "src/common/types.h"
+#include "src/mem/zero_pages.h"
 
 namespace guillotine {
 
@@ -82,10 +82,12 @@ class Cache {
   Cycles hit_latency() const { return config_.hit_latency; }
 
  private:
+  // All-zero bytes are an invalid line, so the line array starts (and a
+  // Flush leaves it) as untouched zero pages.
   struct Line {
-    u64 tag = 0;
-    bool valid = false;
-    u64 lru = 0;  // larger = more recently used
+    u64 tag;
+    bool valid;
+    u64 lru;  // larger = more recently used
   };
 
   size_t SetIndex(PhysAddr addr) const { return (addr >> line_shift_) & set_mask_; }
@@ -100,7 +102,7 @@ class Cache {
   unsigned line_shift_ = 0;
   unsigned tag_shift_ = 0;
   size_t set_mask_ = 0;
-  std::vector<Line> lines_;  // num_sets * ways, row-major by set
+  ZeroPageVector<Line> lines_;  // num_sets * ways, row-major by set
   u64 use_counter_ = 0;
   CacheStats stats_;
   std::function<void(PhysAddr)> eviction_hook_;

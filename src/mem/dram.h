@@ -16,6 +16,7 @@
 
 #include "src/common/status.h"
 #include "src/common/types.h"
+#include "src/mem/zero_pages.h"
 
 namespace guillotine {
 
@@ -25,15 +26,14 @@ class Dram {
   // so the host supplies zero pages on first touch: a deployment pays only
   // for the pages its model and hypervisor actually use.
   explicit Dram(size_t size_bytes, std::string name = "dram");
-  ~Dram();
   Dram(const Dram&) = delete;
   Dram& operator=(const Dram&) = delete;
 
-  size_t size() const { return size_; }
+  size_t size() const { return bytes_.size(); }
   const std::string& name() const { return name_; }
 
   bool InBounds(PhysAddr addr, size_t len) const {
-    return addr + len >= addr && addr + len <= size_;
+    return addr + len >= addr && addr + len <= bytes_.size();
   }
 
   // Scalar accessors (little-endian). Return false when out of bounds; the
@@ -47,16 +47,18 @@ class Dram {
   bool Write32(PhysAddr addr, u32 v) { return Store(addr, v); }
   bool Write64(PhysAddr addr, u64 v) { return Store(addr, v); }
 
-  // Block accessors used by buses, loaders, and audit tooling.
+  // Block accessors used by buses, loaders, and audit tooling. A whole page
+  // that is zero on both sides is not written (see CopyPages).
   Status ReadBlock(PhysAddr addr, std::span<u8> out) const;
   Status WriteBlock(PhysAddr addr, std::span<const u8> data);
 
-  // Zero the whole module (used on power-down / immolation).
-  void Clear();
+  // Zero the whole module (used on power-down / immolation) by handing its
+  // pages back to the host.
+  void Clear() { ZeroAll(bytes_); }
 
   // Direct access for the machine's internal plumbing (ring views).
-  std::span<u8> raw() { return {bytes_, size_}; }
-  std::span<const u8> raw() const { return {bytes_, size_}; }
+  std::span<u8> raw() { return bytes_; }
+  std::span<const u8> raw() const { return bytes_; }
 
  private:
   // Model memory is little-endian, so a host-order copy is the encoding.
@@ -67,7 +69,7 @@ class Dram {
     if (!InBounds(addr, sizeof(T))) {
       return false;
     }
-    std::memcpy(&out, bytes_ + addr, sizeof(T));
+    std::memcpy(&out, bytes_.data() + addr, sizeof(T));
     return true;
   }
 
@@ -76,12 +78,11 @@ class Dram {
     if (!InBounds(addr, sizeof(T))) {
       return false;
     }
-    std::memcpy(bytes_ + addr, &v, sizeof(T));
+    std::memcpy(bytes_.data() + addr, &v, sizeof(T));
     return true;
   }
 
-  u8* bytes_ = nullptr;  // nullptr when size_ == 0
-  size_t size_ = 0;
+  ZeroPageVector<u8> bytes_;
   std::string name_;
 };
 

@@ -1,11 +1,48 @@
 #include "src/physical/heartbeat.h"
 
+#include <array>
+
 namespace guillotine {
 
+namespace {
+// The MACed body: direction byte, then the send time (u64 LE).
+std::array<u8, 9> Body(bool console_to_hv, Cycles sent_at) {
+  std::array<u8, 9> body{};
+  body[0] = console_to_hv ? 1 : 0;
+  for (size_t i = 0; i < 8; ++i) {
+    body[1 + i] = static_cast<u8>(sent_at >> (8 * i));
+  }
+  return body;
+}
+
+HmacKey HeartbeatKey(std::string_view shared_key) {
+  const Sha256Digest key = Sha256::Hash(shared_key);
+  return HmacKey(std::span<const u8>(key.data(), key.size()));
+}
+}  // namespace
+
 HeartbeatMonitor::HeartbeatMonitor(const HeartbeatConfig& config, SimClock& clock,
-                                   Rng& rng, std::string shared_key)
-    : config_(config), clock_(clock), rng_(rng) {
-  key_ = Sha256::Hash(shared_key);
+                                   Rng& rng, std::string_view shared_key)
+    : config_(config), clock_(clock), rng_(rng), key_(HeartbeatKey(shared_key)) {}
+
+HeartbeatMessage HeartbeatMonitor::Seal(Cycles sent_at, bool console_to_hv) const {
+  HeartbeatMessage message;
+  message.console_to_hv = console_to_hv;
+  message.sent_at = sent_at;
+  message.tag = key_.Mac(Body(console_to_hv, sent_at));
+  return message;
+}
+
+void HeartbeatMonitor::Receive(const HeartbeatMessage& message) {
+  if (!DigestEqual(message.tag, key_.Mac(Body(message.console_to_hv, message.sent_at)))) {
+    ++lost_;
+    return;
+  }
+  if (message.console_to_hv) {
+    hv_last_rx_ = message.sent_at;
+  } else {
+    console_last_rx_ = message.sent_at;
+  }
 }
 
 void HeartbeatMonitor::SendOne(Cycles now, bool console_to_hv) {
@@ -14,25 +51,7 @@ void HeartbeatMonitor::SendOne(Cycles now, bool console_to_hv) {
     ++lost_;
     return;
   }
-  // Authenticated heartbeat: MAC over (direction, timestamp). A receiver
-  // rejecting a bad MAC behaves exactly like loss, so verification is
-  // modeled explicitly here.
-  Bytes body;
-  body.push_back(console_to_hv ? 1 : 0);
-  PutU64(body, now);
-  const Sha256Digest mac = HmacSha256(std::span<const u8>(key_.data(), key_.size()),
-                                      std::span<const u8>(body.data(), body.size()));
-  const Sha256Digest check = HmacSha256(std::span<const u8>(key_.data(), key_.size()),
-                                        std::span<const u8>(body.data(), body.size()));
-  if (!DigestEqual(mac, check)) {
-    ++lost_;
-    return;
-  }
-  if (console_to_hv) {
-    hv_last_rx_ = now;
-  } else {
-    console_last_rx_ = now;
-  }
+  Receive(Seal(now, console_to_hv));
 }
 
 void HeartbeatMonitor::Tick() {

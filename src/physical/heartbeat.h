@@ -23,19 +23,33 @@ struct HeartbeatConfig {
   double loss_rate = 0.0;
 };
 
+// One heartbeat as it crosses the link: direction, send time, and the
+// sender's HMAC over both.
+struct HeartbeatMessage {
+  bool console_to_hv = false;
+  Cycles sent_at = 0;
+  Sha256Digest tag{};
+};
+
 // Monitors the console<->hypervisor link in both directions. Tick() advances
 // the protocol to the current simulated time; when either side's timeout
 // expires, the expiry callback fires once (re-armed only by Reset).
 class HeartbeatMonitor {
  public:
   HeartbeatMonitor(const HeartbeatConfig& config, SimClock& clock, Rng& rng,
-                   std::string shared_key);
+                   std::string_view shared_key);
 
   using ExpiryFn = std::function<void(std::string_view which_side)>;
   void set_expiry_handler(ExpiryFn fn) { on_expiry_ = std::move(fn); }
 
   // Runs send/receive/timeout logic up to clock.now().
   void Tick();
+
+  // The two ends of one exchange. Seal is the sender's MAC; Receive is the
+  // receiver's check of the (body, tag) that arrived. A message whose tag
+  // does not verify counts as lost and refreshes nothing.
+  HeartbeatMessage Seal(Cycles sent_at, bool console_to_hv) const;
+  void Receive(const HeartbeatMessage& message);
 
   // Simulated link failure (e.g., cable cut): messages stop flowing but
   // Tick() keeps evaluating timeouts.
@@ -55,7 +69,7 @@ class HeartbeatMonitor {
   HeartbeatConfig config_;
   SimClock& clock_;
   Rng& rng_;
-  Sha256Digest key_;
+  HmacKey key_;
   ExpiryFn on_expiry_;
 
   bool link_up_ = true;

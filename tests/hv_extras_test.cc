@@ -225,6 +225,59 @@ TEST_F(HvExtrasTest, SnapshotRoundTrip) {
   EXPECT_EQ(machine_.model_core(0).state(), RunState::kHalted);
 }
 
+TEST_F(HvExtrasTest, CaptureEqualsDenseDramReadByteForByte) {
+  // Non-zero bytes at the first and last byte of a page, mid-page, and in
+  // the last page; a page written and then zeroed again; the rest untouched.
+  Dram& dram = machine_.model_dram();
+  const size_t last = dram.size() - 1;
+  ASSERT_TRUE(dram.Write8(0, 0x01));
+  ASSERT_TRUE(dram.Write8(3 * kSnapshotPageBytes - 1, 0x02));
+  ASSERT_TRUE(dram.Write64(17 * kSnapshotPageBytes + 100, 0x0102030405060708ULL));
+  ASSERT_TRUE(dram.Write8(last, 0x03));
+  ASSERT_TRUE(dram.Write64(30 * kSnapshotPageBytes, 0xFF));
+  ASSERT_TRUE(dram.Write64(30 * kSnapshotPageBytes, 0));
+  const auto snapshot = CaptureSnapshot(hv_, 0);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  Bytes dense(dram.size(), 0xAA);
+  ASSERT_TRUE(hv_.control_bus().ReadModelDram(0, 0, dense).ok());
+  ASSERT_EQ(snapshot->dram.size(), dense.size());
+  EXPECT_TRUE(std::equal(dense.begin(), dense.end(), snapshot->dram.begin()));
+  EXPECT_EQ(snapshot->dram[last], 0x03);
+  // The image keeps its all-zero shape after a Clear: nothing stale.
+  dram.Clear();
+  const auto cleared = CaptureSnapshot(hv_, 0);
+  ASSERT_TRUE(cleared.ok());
+  EXPECT_TRUE(std::all_of(cleared->dram.begin(), cleared->dram.end(),
+                          [](u8 b) { return b == 0; }));
+  // Both captures charged and traced the full image, like a dense read.
+  const auto reads = trace_.OfKind("ctl.read_dram");
+  ASSERT_EQ(reads.size(), 3u);
+  for (const TraceEvent* read : reads) {
+    EXPECT_NE(read->detail.find("len=" + std::to_string(dram.size())), std::string::npos);
+  }
+}
+
+TEST_F(HvExtrasTest, RestoringAZeroPageOverNonZeroTargetLeavesItZero) {
+  Dram& dram = machine_.model_dram();
+  ASSERT_TRUE(dram.Write64(2 * kSnapshotPageBytes, 0xABCD));
+  const auto snapshot = CaptureSnapshot(hv_, 0);
+  ASSERT_TRUE(snapshot.ok());
+  // After the capture, the model dirties pages that were zero in the image
+  // (one whole page, one partial) and zeroes one that was not.
+  ASSERT_TRUE(dram.WriteBlock(9 * kSnapshotPageBytes, Bytes(kSnapshotPageBytes, 0x5A)).ok());
+  ASSERT_TRUE(dram.Write8(11 * kSnapshotPageBytes + 4095, 0x01));
+  ASSERT_TRUE(dram.Write64(2 * kSnapshotPageBytes, 0));
+  ASSERT_TRUE(RestoreSnapshot(hv_, *snapshot).ok());
+  Bytes after(dram.size());
+  ASSERT_TRUE(dram.ReadBlock(0, after).ok());
+  EXPECT_TRUE(std::equal(after.begin(), after.end(), snapshot->dram.begin()));
+  u64 v = 0;
+  ASSERT_TRUE(dram.Read64(9 * kSnapshotPageBytes, v));
+  EXPECT_EQ(v, 0u);
+  ASSERT_TRUE(dram.Read64(2 * kSnapshotPageBytes, v));
+  EXPECT_EQ(v, 0xABCDu);
+}
+
 TEST_F(HvExtrasTest, TamperedSnapshotRefusesRestore) {
   const auto snapshot = CaptureSnapshot(hv_, 0);
   ASSERT_TRUE(snapshot.ok());

@@ -2,6 +2,8 @@
 // doorbells + LAPIC throttling, control bus, and devices.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/isa/assembler.h"
 #include "src/machine/accelerator.h"
 #include "src/machine/control_bus.h"
@@ -815,6 +817,84 @@ TEST(StorageDeviceTest, OutOfRangeRejected) {
   PutU64(read.payload, 7);
   PutU32(read.payload, 2);  // crosses the end
   EXPECT_NE(disk.Handle(read, 0, cost).status, 0u);
+}
+
+IoRequest StorageRead(u64 sector, u32 count) {
+  IoRequest read;
+  read.opcode = static_cast<u32>(StorageOpcode::kRead);
+  PutU64(read.payload, sector);
+  PutU32(read.payload, count);
+  return read;
+}
+
+IoRequest StorageWrite(u64 sector, size_t bytes) {
+  IoRequest write;
+  write.opcode = static_cast<u32>(StorageOpcode::kWrite);
+  PutU64(write.payload, sector);
+  write.payload.resize(8 + bytes, 0xEE);
+  return write;
+}
+
+TEST(StorageDeviceTest, FreshDiskReadsZeroUpToItsLastSector) {
+  StorageDevice disk(4096, 512);  // 2 MiB, the size a deployment attaches
+  Bytes all(4096 * 512, 0xAA);
+  ASSERT_TRUE(disk.ReadSectors(0, all).ok());
+  EXPECT_TRUE(std::all_of(all.begin(), all.end(), [](u8 b) { return b == 0; }));
+  Cycles cost = 0;
+  const IoResponse last = disk.Handle(StorageRead(4095, 1), 0, cost);
+  ASSERT_EQ(last.status, 0u);
+  ASSERT_EQ(last.payload.size(), 512u);
+  EXPECT_TRUE(
+      std::all_of(last.payload.begin(), last.payload.end(), [](u8 b) { return b == 0; }));
+}
+
+TEST(StorageDeviceTest, ReadWhoseSectorRangeWrapsIsRejected) {
+  StorageDevice disk(8, 512);
+  Cycles cost = 0;
+  // sector + count wraps to 0 and would pass a naive `sector + count > n`.
+  EXPECT_EQ(disk.Handle(StorageRead(~0ULL, 1), 0, cost).status, 2u);
+  EXPECT_EQ(disk.Handle(StorageRead(~0ULL - 6, 8), 0, cost).status, 2u);
+  EXPECT_EQ(disk.Handle(StorageRead(9, 1), 0, cost).status, 2u);
+  EXPECT_EQ(disk.Handle(StorageRead(7, 0xFFFFFFFFu), 0, cost).status, 2u);
+  // The edges that do exist still work.
+  EXPECT_EQ(disk.Handle(StorageRead(7, 1), 0, cost).status, 0u);
+  EXPECT_EQ(disk.Handle(StorageRead(0, 8), 0, cost).status, 0u);
+}
+
+TEST(StorageDeviceTest, WriteWhoseSectorRangeWrapsIsRejected) {
+  StorageDevice disk(8, 512);
+  Cycles cost = 0;
+  EXPECT_EQ(disk.Handle(StorageWrite(~0ULL, 1), 0, cost).status, 2u);
+  EXPECT_EQ(disk.Handle(StorageWrite(~0ULL, 512), 0, cost).status, 2u);
+  EXPECT_EQ(disk.Handle(StorageWrite(~0ULL - 1, 1024), 0, cost).status, 2u);
+  EXPECT_EQ(disk.Handle(StorageWrite(8, 1), 0, cost).status, 2u);
+  EXPECT_EQ(disk.Handle(StorageWrite(7, 513), 0, cost).status, 2u);
+  EXPECT_EQ(disk.Handle(StorageWrite(7, 512), 0, cost).status, 0u);
+  // Nothing outside sector 7 was written.
+  Bytes head(7 * 512, 0xAA);
+  ASSERT_TRUE(disk.ReadSectors(0, head).ok());
+  EXPECT_TRUE(std::all_of(head.begin(), head.end(), [](u8 b) { return b == 0; }));
+}
+
+TEST(StorageDeviceTest, SetupAccessorsRejectOffsetsThatOverflow) {
+  StorageDevice disk(8, 512);
+  // 2^55 sectors * 512 bytes wraps to offset 0.
+  const u64 wraps_to_zero = 1ULL << 55;
+  Bytes sector(512, 0x77);
+  EXPECT_FALSE(disk.WriteSectors(wraps_to_zero, sector).ok());
+  EXPECT_FALSE(disk.ReadSectors(wraps_to_zero, sector).ok());
+  EXPECT_FALSE(disk.WriteSectors(~0ULL, sector).ok());
+  EXPECT_FALSE(disk.ReadSectors(~0ULL, sector).ok());
+  EXPECT_FALSE(disk.WriteSectors(8, sector).ok());
+  Bytes past_end(513);
+  EXPECT_FALSE(disk.ReadSectors(7, past_end).ok());
+  // Sector 0 is untouched by the refused writes.
+  Bytes first(512, 0xAA);
+  ASSERT_TRUE(disk.ReadSectors(0, first).ok());
+  EXPECT_TRUE(std::all_of(first.begin(), first.end(), [](u8 b) { return b == 0; }));
+  ASSERT_TRUE(disk.WriteSectors(7, sector).ok());
+  ASSERT_TRUE(disk.ReadSectors(7, first).ok());
+  EXPECT_EQ(first, sector);
 }
 
 TEST(AcceleratorTest, MatMulMatchesScalar) {

@@ -8,6 +8,7 @@
 #include "src/mem/cache.h"
 #include "src/mem/dram.h"
 #include "src/mem/mmu.h"
+#include "src/mem/zero_pages.h"
 
 namespace guillotine {
 namespace {
@@ -91,6 +92,99 @@ TEST(DramTest, ZeroSizedModuleRefusesEveryAccess) {
   Bytes one(1);
   EXPECT_FALSE(dram.ReadBlock(0, one).ok());
   dram.Clear();
+}
+
+TEST(DramTest, ClearAfterWritingEveryPageReadsZeroEverywhere) {
+  // Every byte of every page (and of the partial tail page) is written, so
+  // Clear has to drop or zero each one of them.
+  Dram dram(32 * kHostPageBytes + 100);
+  const Bytes ones(dram.size(), 0xFF);
+  ASSERT_TRUE(dram.WriteBlock(0, ones).ok());
+  dram.Clear();
+  Bytes out(dram.size(), 0xAA);
+  ASSERT_TRUE(dram.ReadBlock(0, out).ok());
+  EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](u8 b) { return b == 0; }));
+  // The module stays usable after its pages were handed back.
+  ASSERT_TRUE(dram.Write64(5 * kHostPageBytes, 0x1234));
+  u64 v = 0;
+  ASSERT_TRUE(dram.Read64(5 * kHostPageBytes, v));
+  EXPECT_EQ(v, 0x1234u);
+}
+
+TEST(DramTest, BlockCopiesOverwriteNonZeroPagesWithZeroPages) {
+  // A whole zero page is skipped only when the destination page is zero
+  // too; everywhere else a block copy is a plain byte copy.
+  Dram dram(5 * kHostPageBytes);
+  ASSERT_TRUE(dram.WriteBlock(0, Bytes(dram.size(), 0x5A)).ok());
+  Bytes image(3 * kHostPageBytes + 10, 0);
+  image[kHostPageBytes + 7] = 0x11;   // page 1 non-zero, pages 0 and 2 zero
+  image[3 * kHostPageBytes + 9] = 0x22;  // partial tail
+  ASSERT_TRUE(dram.WriteBlock(kHostPageBytes, image).ok());
+  Bytes back(dram.size(), 0xAA);
+  ASSERT_TRUE(dram.ReadBlock(0, back).ok());
+  Bytes expected(dram.size(), 0x5A);
+  std::copy(image.begin(), image.end(), expected.begin() + kHostPageBytes);
+  EXPECT_EQ(back, expected);
+  // And a read of zero pages into a dirty buffer zeroes the buffer.
+  dram.Clear();
+  ASSERT_TRUE(dram.ReadBlock(0, back).ok());
+  EXPECT_TRUE(std::all_of(back.begin(), back.end(), [](u8 b) { return b == 0; }));
+}
+
+TEST(ZeroPagesTest, SizedVectorStartsZeroAndZeroAllResetsIt) {
+  ZeroPageVector<u64> v(3 * kHostPageBytes / sizeof(u64) + 5);
+  EXPECT_TRUE(std::all_of(v.begin(), v.end(), [](u64 x) { return x == 0; }));
+  std::fill(v.begin(), v.end(), ~0ULL);
+  ZeroAll(v);
+  EXPECT_TRUE(std::all_of(v.begin(), v.end(), [](u64 x) { return x == 0; }));
+  ZeroPageVector<u8> empty;
+  ZeroAll(empty);
+  EXPECT_TRUE(empty.empty());
+}
+
+// The whole L3 of a default machine: 2 MiB, 64 B lines, 16 ways.
+constexpr CacheConfig kL3Geometry{2 * 1024 * 1024, 64, 16, 40};
+
+// Probes tag 0 in every set, the tag an all-zero line carries: a hit would
+// mean a zero line counts as valid.
+size_t ValidTagZeroSets(const Cache& cache) {
+  size_t hits = 0;
+  for (size_t set = 0; set < cache.config().num_sets(); ++set) {
+    hits += cache.Probe(set * cache.config().line_bytes) ? 1 : 0;
+  }
+  return hits;
+}
+
+TEST(CacheTest, FreshL3GeometryProbesInvalidInEverySet) {
+  Cache cache(kL3Geometry, "l3");
+  EXPECT_EQ(ValidTagZeroSets(cache), 0u);
+  // Filling one way of a set is a miss with no eviction in every set.
+  for (size_t set = 0; set < kL3Geometry.num_sets(); ++set) {
+    EXPECT_FALSE(cache.Access(set * kL3Geometry.line_bytes + (1ULL << 40)));
+  }
+  EXPECT_EQ(cache.stats().misses, kL3Geometry.num_sets());
+  EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
+TEST(CacheTest, FlushAfterFillsLeavesEveryLineInvalid) {
+  Cache cache(kL3Geometry, "l3");
+  const size_t span = kL3Geometry.size_bytes * 2;  // twice over: every way, then evictions
+  for (PhysAddr addr = 0; addr < span; addr += kL3Geometry.line_bytes) {
+    cache.Access(addr);
+  }
+  ASSERT_GT(cache.stats().evictions, 0u);
+  ASSERT_TRUE(cache.Probe(span - kL3Geometry.line_bytes));
+  cache.Flush();
+  for (PhysAddr addr = 0; addr < span; addr += kL3Geometry.line_bytes) {
+    ASSERT_FALSE(cache.Probe(addr)) << addr;
+  }
+  EXPECT_EQ(ValidTagZeroSets(cache), 0u);
+  // Refilling a full cache's worth evicts nothing: every way was invalid.
+  const u64 evictions = cache.stats().evictions;
+  for (PhysAddr addr = 0; addr < kL3Geometry.size_bytes; addr += kL3Geometry.line_bytes) {
+    EXPECT_FALSE(cache.Access(addr));
+  }
+  EXPECT_EQ(cache.stats().evictions, evictions);
 }
 
 TEST(CacheTest, MissThenHit) {

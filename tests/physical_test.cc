@@ -237,6 +237,56 @@ TEST(HeartbeatTest, ResetRearms) {
   EXPECT_FALSE(monitor.expired());
 }
 
+TEST(HeartbeatTest, EachDeliveredHeartbeatCostsOneMacAndOneVerify) {
+  SimClock clock;
+  Rng rng(1);
+  HeartbeatConfig config;
+  config.period = 100;
+  config.timeout = 500;
+  HeartbeatMonitor monitor(config, clock, rng, "key");
+  monitor.Tick();  // the exchange at t = 0
+  const u64 sent_before = monitor.sent();
+  const u64 before = Sha256::compressions();
+  for (int i = 0; i < 10; ++i) {
+    clock.Advance(100);
+    monitor.Tick();
+  }
+  ASSERT_EQ(monitor.sent() - sent_before, 20u);  // one exchange per period
+  ASSERT_EQ(monitor.lost(), 0u);
+  // Sender MAC plus receiver verify, each two compressions on the cached
+  // HMAC midstates: 4 per delivered message.
+  EXPECT_EQ(Sha256::compressions() - before, 4u * 20);
+}
+
+TEST(HeartbeatTest, FlippedTagCountsAsLossAndRefreshesNothing) {
+  SimClock clock;
+  Rng rng(1);
+  HeartbeatConfig config;
+  config.period = 100;
+  config.timeout = 500;
+  HeartbeatMonitor monitor(config, clock, rng, "key");
+  clock.Advance(100);
+  monitor.Tick();
+  ASSERT_EQ(monitor.last_hv_rx(), 100u);
+  ASSERT_EQ(monitor.lost(), 0u);
+
+  HeartbeatMessage forged = monitor.Seal(/*sent_at=*/150, /*console_to_hv=*/true);
+  forged.tag[31] ^= 0x01;
+  monitor.Receive(forged);
+  EXPECT_EQ(monitor.lost(), 1u);
+  EXPECT_EQ(monitor.last_hv_rx(), 100u);
+  // A body that does not match its tag is refused the same way.
+  HeartbeatMessage redated = monitor.Seal(/*sent_at=*/150, /*console_to_hv=*/false);
+  redated.sent_at = 160;
+  monitor.Receive(redated);
+  EXPECT_EQ(monitor.lost(), 2u);
+  EXPECT_EQ(monitor.last_console_rx(), 100u);
+  // The genuine message is accepted.
+  monitor.Receive(monitor.Seal(/*sent_at=*/150, /*console_to_hv=*/true));
+  EXPECT_EQ(monitor.lost(), 2u);
+  EXPECT_EQ(monitor.last_hv_rx(), 150u);
+}
+
 // --- Console integration ---
 
 class ConsoleTest : public ::testing::Test {
