@@ -48,6 +48,40 @@ void BM_InterpreterAluLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterAluLoop);
 
+// GISA instr/s for one sandboxed forward pass of a {16,32,8} MLP: the
+// compiled model's loads, stores, multiplies and loop branches, under the
+// armed execute-only lockdown that hosting leaves in place.
+void BM_InterpreterMlpForward(benchmark::State& state) {
+  DeploymentConfig config;
+  config.machine.num_model_cores = 1;
+  config.machine.num_hv_cores = 1;
+  config.machine.model_dram_bytes = 1 << 20;
+  config.machine.io_dram_bytes = 512 * 1024;
+  config.console.heartbeat.timeout = ~0ULL >> 1;
+  config.data_base = 0x40000;
+  GuillotineSystem sys(config);
+  Rng rng(21);
+  const MlpModel model = MlpModel::Random({16, 32, 8}, rng);
+  if (!sys.HostModel(model, sys.MakeVerifier()).ok()) {
+    state.SkipWithError("HostModel failed");
+    return;
+  }
+  std::vector<i64> input(16);
+  for (auto& v : input) {
+    v = ToFixed(rng.NextGaussian() * 0.4);
+  }
+  const ModelCore& core = sys.machine().model_core(0);
+  u64 instructions = 0;
+  for (auto _ : state) {
+    const u64 before = core.stats().instructions;
+    benchmark::DoNotOptimize(sys.InferVector(input));
+    instructions += core.stats().instructions - before;
+  }
+  state.counters["instr_per_s"] =
+      benchmark::Counter(static_cast<double>(instructions), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_InterpreterMlpForward);
+
 void BM_CacheAccess(benchmark::State& state) {
   Cache l1(CacheConfig{32 * 1024, 64, 8, 4});
   Cache l2(CacheConfig{256 * 1024, 64, 8, 12});

@@ -138,21 +138,29 @@ inline constexpr std::array<bool, 256> kValidOpcode = [] {
   return valid;
 }();
 
+// True when the rd, rs1 and rs2 bytes of an instruction word (bits 8..31)
+// all name one of the 32 registers, i.e. none has bit 5, 6 or 7 set.
+static_assert(kNumRegisters == 32);
+inline bool RegistersValid(u64 word) { return (word & 0xE0E0'E000ULL) == 0; }
+
+// Splits an instruction word into its fields without validating them.
+inline Instruction DecodeFields(u64 word) {
+  Instruction out;
+  out.op = static_cast<Opcode>(static_cast<u8>(word));
+  out.rd = static_cast<u8>(word >> 8);
+  out.rs1 = static_cast<u8>(word >> 16);
+  out.rs2 = static_cast<u8>(word >> 24);
+  out.imm = static_cast<i32>(static_cast<u32>(word >> 32));
+  return out;
+}
+
 // Decodes one instruction from its 8 bytes read as a little-endian word.
 // Returns false for an unknown opcode or an out-of-range register.
 inline bool DecodeWord(u64 word, Instruction& out) {
-  const auto op = static_cast<u8>(word);
-  const auto rd = static_cast<u8>(word >> 8);
-  const auto rs1 = static_cast<u8>(word >> 16);
-  const auto rs2 = static_cast<u8>(word >> 24);
-  if (!kValidOpcode[op] || (rd | rs1 | rs2) >= kNumRegisters) {
+  if (!kValidOpcode[static_cast<u8>(word)] || !RegistersValid(word)) {
     return false;
   }
-  out.op = static_cast<Opcode>(op);
-  out.rd = rd;
-  out.rs1 = rs1;
-  out.rs2 = rs2;
-  out.imm = static_cast<i32>(static_cast<u32>(word >> 32));
+  out = DecodeFields(word);
   return true;
 }
 

@@ -5,7 +5,8 @@
 #ifndef SRC_MACHINE_BRANCH_PREDICTOR_H_
 #define SRC_MACHINE_BRANCH_PREDICTOR_H_
 
-#include <vector>
+#include <algorithm>
+#include <array>
 
 #include "src/common/types.h"
 
@@ -13,29 +14,32 @@ namespace guillotine {
 
 class BranchPredictor {
  public:
-  explicit BranchPredictor(size_t entries = 1024)
-      : table_(entries, 1) {}  // initialize weakly-not-taken
+  static constexpr size_t kEntries = 1024;  // a power of two: Index is a mask
+
+  BranchPredictor() { Flush(); }
 
   bool Predict(u64 pc) const { return table_[Index(pc)] >= 2; }
 
   // Returns true when the prediction was correct.
   bool Update(u64 pc, bool taken) {
-    const size_t i = Index(pc);
-    const bool predicted = table_[i] >= 2;
-    if (taken && table_[i] < 3) {
-      ++table_[i];
-    } else if (!taken && table_[i] > 0) {
-      --table_[i];
+    u8& counter = table_[Index(pc)];
+    const bool predicted = counter >= 2;
+    if (taken && counter < 3) {
+      ++counter;
+    } else if (!taken && counter > 0) {
+      --counter;
     }
     return predicted == taken;
   }
 
-  void Flush() { std::fill(table_.begin(), table_.end(), 1); }
+  // Every counter back to weakly-not-taken.
+  void Flush() { table_.fill(1); }
 
  private:
-  size_t Index(u64 pc) const { return (pc >> 3) % table_.size(); }
+  static_assert((kEntries & (kEntries - 1)) == 0);
+  static size_t Index(u64 pc) { return (pc >> 3) & (kEntries - 1); }
 
-  std::vector<u8> table_;
+  std::array<u8, kEntries> table_;
 };
 
 }  // namespace guillotine

@@ -1,8 +1,7 @@
 #include "src/machine/model_core.h"
 
+#include <array>
 #include <cstdio>
-
-#include <cassert>
 
 namespace guillotine {
 
@@ -293,7 +292,13 @@ void ModelCore::EnterTrap(TrapCause cause, u64 epc) {
 Cycles ModelCore::Run(Cycles budget) {
   Cycles consumed = 0;
   while (consumed < budget && state_ == RunState::kRunning) {
-    consumed += Step();
+    if (PlainStretchAllowed()) {
+      consumed += RunPlain(budget - consumed);
+      if (consumed >= budget) {
+        break;
+      }
+    }
+    consumed += ExecuteOne();
   }
   return consumed;
 }
@@ -303,6 +308,240 @@ Cycles ModelCore::Step() {
     return 0;
   }
   return ExecuteOne();
+}
+
+namespace {
+
+// Every valid opcode below kLb is an ALU register or immediate op
+// (src/isa/gisa.h numbers the classes in blocks).
+constexpr bool IsAluOp(Opcode op) { return op < Opcode::kLb; }
+
+// rd of an ALU op; `imm` is ignored by the register-register forms.
+inline u64 AluResult(Opcode op, u64 rs1, u64 rs2, i64 imm) {
+  const auto signed1 = static_cast<i64>(rs1);
+  const auto signed2 = static_cast<i64>(rs2);
+  switch (op) {
+    case Opcode::kAdd:
+      return rs1 + rs2;
+    case Opcode::kSub:
+      return rs1 - rs2;
+    case Opcode::kAnd:
+      return rs1 & rs2;
+    case Opcode::kOr:
+      return rs1 | rs2;
+    case Opcode::kXor:
+      return rs1 ^ rs2;
+    case Opcode::kSll:
+      return rs1 << (rs2 & 63);
+    case Opcode::kSrl:
+      return rs1 >> (rs2 & 63);
+    case Opcode::kSra:
+      return static_cast<u64>(signed1 >> (rs2 & 63));
+    case Opcode::kSlt:
+      return signed1 < signed2 ? 1 : 0;
+    case Opcode::kSltu:
+      return rs1 < rs2 ? 1 : 0;
+    case Opcode::kMul:
+      return rs1 * rs2;
+    case Opcode::kMulh: {
+      const auto wide = static_cast<__int128>(signed1) * static_cast<__int128>(signed2);
+      return static_cast<u64>(static_cast<unsigned __int128>(wide) >> 64);
+    }
+    case Opcode::kDiv:
+      return rs2 == 0 ? ~0ULL : static_cast<u64>(signed1 / signed2);
+    case Opcode::kRem:
+      return rs2 == 0 ? rs1 : static_cast<u64>(signed1 % signed2);
+    case Opcode::kAddi:
+      return rs1 + static_cast<u64>(imm);
+    case Opcode::kAndi:
+      return rs1 & static_cast<u64>(imm);
+    case Opcode::kOri:
+      return rs1 | static_cast<u64>(imm);
+    case Opcode::kXori:
+      return rs1 ^ static_cast<u64>(imm);
+    case Opcode::kSlli:
+      return rs1 << (imm & 63);
+    case Opcode::kSrli:
+      return rs1 >> (imm & 63);
+    case Opcode::kSrai:
+      return static_cast<u64>(signed1 >> (imm & 63));
+    case Opcode::kSlti:
+      return signed1 < imm ? 1 : 0;
+    default:  // kLdi
+      return static_cast<u64>(imm);
+  }
+}
+
+inline bool BranchTaken(Opcode op, u64 rs1, u64 rs2) {
+  switch (op) {
+    case Opcode::kBeq:
+      return rs1 == rs2;
+    case Opcode::kBne:
+      return rs1 != rs2;
+    case Opcode::kBlt:
+      return static_cast<i64>(rs1) < static_cast<i64>(rs2);
+    case Opcode::kBge:
+      return static_cast<i64>(rs1) >= static_cast<i64>(rs2);
+    case Opcode::kBltu:
+      return rs1 < rs2;
+    default:  // kBgeu
+      return rs1 >= rs2;
+  }
+}
+
+// Width in bytes of a load or store.
+inline size_t AccessBytes(Opcode op) {
+  switch (op) {
+    case Opcode::kLb:
+    case Opcode::kLbu:
+    case Opcode::kSb:
+      return 1;
+    case Opcode::kLh:
+    case Opcode::kLhu:
+    case Opcode::kSh:
+      return 2;
+    case Opcode::kLw:
+    case Opcode::kLwu:
+    case Opcode::kSw:
+      return 4;
+    default:
+      return 8;
+  }
+}
+
+// rd of a load: the signed forms sign-extend, the rest zero-extend.
+inline u64 ExtendLoad(Opcode op, u64 loaded) {
+  switch (op) {
+    case Opcode::kLb:
+      return static_cast<u64>(static_cast<i64>(static_cast<i8>(loaded)));
+    case Opcode::kLh:
+      return static_cast<u64>(static_cast<i64>(static_cast<i16>(loaded)));
+    case Opcode::kLw:
+      return static_cast<u64>(static_cast<i64>(static_cast<i32>(loaded)));
+    default:
+      return loaded;
+  }
+}
+
+// What RunPlain does with each opcode byte; kHandBack (CSR ops, trapret,
+// halt, ebreak and every unknown opcode) goes to ExecuteOne.
+enum class PlainKind : u8 { kHandBack, kAlu, kLoad, kStore, kBranch, kJal, kJalr, kNop };
+
+constexpr std::array<PlainKind, 256> kPlainKind = [] {
+  std::array<PlainKind, 256> kind{};
+  for (size_t op = 0; op < kind.size(); ++op) {
+    const auto o = static_cast<Opcode>(op);
+    if (!kValidOpcode[op]) {
+      continue;
+    }
+    kind[op] = IsAluOp(o)                                 ? PlainKind::kAlu
+               : o >= Opcode::kLb && o <= Opcode::kLd      ? PlainKind::kLoad
+               : o >= Opcode::kSb && o <= Opcode::kSd      ? PlainKind::kStore
+               : o >= Opcode::kBeq && o <= Opcode::kBgeu   ? PlainKind::kBranch
+               : o == Opcode::kJal                         ? PlainKind::kJal
+               : o == Opcode::kJalr                        ? PlainKind::kJalr
+               : o == Opcode::kNop || o == Opcode::kFence  ? PlainKind::kNop
+                                                           : PlainKind::kHandBack;
+  }
+  return kind;
+}();
+
+}  // namespace
+
+Cycles ModelCore::TrainPredictor(u64 pc, bool taken) {
+  if (predictor_.Update(pc, taken)) {
+    return 0;
+  }
+  ++stats_.branch_mispredicts;
+  return config_.mispredict_penalty;
+}
+
+bool ModelCore::PlainStretchAllowed() const {
+  return (pending_irqs_.empty() || arch_.ReadCsr(Csr::kIenable) == 0) &&
+         watchpoints_.empty() && !suppress_watchpoints_once_ &&
+         (arch_.ReadCsr(Csr::kSatp) & kSatpEnableBit) == 0 &&
+         arch_.ReadCsr(Csr::kTimer) == 0;
+}
+
+Cycles ModelCore::RunPlain(Cycles budget) {
+  auto& x = arch_.x;
+  u64 pc = arch_.pc;
+  u64 retired = 0;
+  Cycles consumed = 0;
+  while (consumed < budget) {
+    // Decide before any side effect: an instruction this loop does not run
+    // goes, unfetched and uncharged, to ExecuteOne. In bare mode a virtual
+    // address is the physical one, and the lockdown is all of translation.
+    u64 word = 0;
+    if ((lockdown_.armed && !lockdown_.Contains(pc)) || !model_dram_.Read64(pc, word)) {
+      break;  // the fetch faults
+    }
+    // kPlainKind marks unknown opcodes kHandBack, so with the register check
+    // this is DecodeWord's validation.
+    const PlainKind kind = kPlainKind[static_cast<u8>(word)];
+    if (kind == PlainKind::kHandBack || !RegistersValid(word)) {
+      break;
+    }
+    const Instruction in = DecodeFields(word);
+    const u64 rs1 = x[in.rs1];
+    const u64 rs2 = x[in.rs2];
+    const i64 imm = in.imm;
+    const VirtAddr va = rs1 + static_cast<u64>(imm);
+    const bool is_memory = kind == PlainKind::kLoad || kind == PlainKind::kStore;
+    const size_t len = is_memory ? AccessBytes(in.op) : 0;
+    // IO-window accesses (doorbells) and would-be faults take the checked path.
+    if (is_memory && (!model_dram_.InBounds(va, len) || lockdown_.Contains(va))) {
+      break;
+    }
+
+    Cycles cost =
+        AccessThroughHierarchy(caches_.l1i, caches_.l2, l3_, pc, config_.mem_path) +
+        InstructionLatency(in.op);
+    if (is_memory) {
+      cost += AccessThroughHierarchy(caches_.l1d, caches_.l2, l3_, va, config_.mem_path);
+    }
+    u64 next_pc = pc + kInstrBytes;
+    switch (kind) {
+      case PlainKind::kAlu:
+        x[in.rd] = AluResult(in.op, rs1, rs2, imm);
+        break;
+      case PlainKind::kLoad: {
+        u64 loaded = 0;
+        ReadPhys(MemAccess{&model_dram_, va}, len, loaded);
+        x[in.rd] = ExtendLoad(in.op, loaded);
+        break;
+      }
+      case PlainKind::kStore:
+        WritePhys(MemAccess{&model_dram_, va}, len, rs2);
+        break;
+      case PlainKind::kBranch: {
+        const bool taken = BranchTaken(in.op, rs1, rs2);
+        cost += TrainPredictor(pc, taken);
+        if (taken) {
+          next_pc = pc + static_cast<u64>(imm);
+        }
+        break;
+      }
+      case PlainKind::kJal:
+        x[in.rd] = pc + kInstrBytes;
+        next_pc = pc + static_cast<u64>(imm);
+        break;
+      case PlainKind::kJalr:
+        x[in.rd] = pc + kInstrBytes;
+        next_pc = (rs1 + static_cast<u64>(imm)) & ~7ULL;
+        break;
+      default:  // kNop
+        break;
+    }
+    x[0] = 0;
+    pc = next_pc;
+    ++retired;
+    consumed += cost;
+  }
+  arch_.pc = pc;
+  stats_.instructions += retired;
+  stats_.cycles += consumed;
+  return consumed;
 }
 
 Cycles ModelCore::ExecuteOne() {
@@ -355,106 +594,13 @@ Cycles ModelCore::ExecuteOne() {
   const u64 rs2 = x[in.rs2];
   u64 rd_value = 0;
   bool write_rd = false;
-
-  const auto signed1 = static_cast<i64>(rs1);
-  const auto signed2 = static_cast<i64>(rs2);
   const i64 imm = in.imm;
 
+  if (IsAluOp(in.op)) {
+    rd_value = AluResult(in.op, rs1, rs2, imm);
+    write_rd = true;
+  }
   switch (in.op) {
-    case Opcode::kAdd:
-      rd_value = rs1 + rs2;
-      write_rd = true;
-      break;
-    case Opcode::kSub:
-      rd_value = rs1 - rs2;
-      write_rd = true;
-      break;
-    case Opcode::kAnd:
-      rd_value = rs1 & rs2;
-      write_rd = true;
-      break;
-    case Opcode::kOr:
-      rd_value = rs1 | rs2;
-      write_rd = true;
-      break;
-    case Opcode::kXor:
-      rd_value = rs1 ^ rs2;
-      write_rd = true;
-      break;
-    case Opcode::kSll:
-      rd_value = rs1 << (rs2 & 63);
-      write_rd = true;
-      break;
-    case Opcode::kSrl:
-      rd_value = rs1 >> (rs2 & 63);
-      write_rd = true;
-      break;
-    case Opcode::kSra:
-      rd_value = static_cast<u64>(signed1 >> (rs2 & 63));
-      write_rd = true;
-      break;
-    case Opcode::kSlt:
-      rd_value = signed1 < signed2 ? 1 : 0;
-      write_rd = true;
-      break;
-    case Opcode::kSltu:
-      rd_value = rs1 < rs2 ? 1 : 0;
-      write_rd = true;
-      break;
-    case Opcode::kMul:
-      rd_value = rs1 * rs2;
-      write_rd = true;
-      break;
-    case Opcode::kMulh: {
-      const auto wide = static_cast<__int128>(signed1) * static_cast<__int128>(signed2);
-      rd_value = static_cast<u64>(static_cast<unsigned __int128>(wide) >> 64);
-      write_rd = true;
-      break;
-    }
-    case Opcode::kDiv:
-      rd_value = rs2 == 0 ? ~0ULL : static_cast<u64>(signed1 / signed2);
-      write_rd = true;
-      break;
-    case Opcode::kRem:
-      rd_value = rs2 == 0 ? rs1 : static_cast<u64>(signed1 % signed2);
-      write_rd = true;
-      break;
-    case Opcode::kAddi:
-      rd_value = rs1 + static_cast<u64>(imm);
-      write_rd = true;
-      break;
-    case Opcode::kAndi:
-      rd_value = rs1 & static_cast<u64>(imm);
-      write_rd = true;
-      break;
-    case Opcode::kOri:
-      rd_value = rs1 | static_cast<u64>(imm);
-      write_rd = true;
-      break;
-    case Opcode::kXori:
-      rd_value = rs1 ^ static_cast<u64>(imm);
-      write_rd = true;
-      break;
-    case Opcode::kSlli:
-      rd_value = rs1 << (imm & 63);
-      write_rd = true;
-      break;
-    case Opcode::kSrli:
-      rd_value = rs1 >> (imm & 63);
-      write_rd = true;
-      break;
-    case Opcode::kSrai:
-      rd_value = static_cast<u64>(signed1 >> (imm & 63));
-      write_rd = true;
-      break;
-    case Opcode::kSlti:
-      rd_value = signed1 < imm ? 1 : 0;
-      write_rd = true;
-      break;
-    case Opcode::kLdi:
-      rd_value = static_cast<u64>(imm);
-      write_rd = true;
-      break;
     case Opcode::kLb:
     case Opcode::kLbu:
     case Opcode::kLh:
@@ -462,10 +608,7 @@ Cycles ModelCore::ExecuteOne() {
     case Opcode::kLw:
     case Opcode::kLwu:
     case Opcode::kLd: {
-      const size_t len = in.op == Opcode::kLb || in.op == Opcode::kLbu   ? 1
-                         : in.op == Opcode::kLh || in.op == Opcode::kLhu ? 2
-                         : in.op == Opcode::kLw || in.op == Opcode::kLwu ? 4
-                                                                         : 8;
+      const size_t len = AccessBytes(in.op);
       const VirtAddr va = rs1 + static_cast<u64>(imm);
       const MemAccess acc = AccessMemory(va, AccessType::kLoad, len);
       cost += acc.latency;
@@ -488,20 +631,7 @@ Cycles ModelCore::ExecuteOne() {
         stats_.cycles += cost;
         return cost;
       }
-      switch (in.op) {
-        case Opcode::kLb:
-          rd_value = static_cast<u64>(static_cast<i64>(static_cast<i8>(loaded)));
-          break;
-        case Opcode::kLh:
-          rd_value = static_cast<u64>(static_cast<i64>(static_cast<i16>(loaded)));
-          break;
-        case Opcode::kLw:
-          rd_value = static_cast<u64>(static_cast<i64>(static_cast<i32>(loaded)));
-          break;
-        default:
-          rd_value = loaded;
-          break;
-      }
+      rd_value = ExtendLoad(in.op, loaded);
       write_rd = true;
       break;
     }
@@ -509,10 +639,7 @@ Cycles ModelCore::ExecuteOne() {
     case Opcode::kSh:
     case Opcode::kSw:
     case Opcode::kSd: {
-      const size_t len = in.op == Opcode::kSb   ? 1
-                         : in.op == Opcode::kSh ? 2
-                         : in.op == Opcode::kSw ? 4
-                                                : 8;
+      const size_t len = AccessBytes(in.op);
       const VirtAddr va = rs1 + static_cast<u64>(imm);
       const MemAccess acc = AccessMemory(va, AccessType::kStore, len);
       cost += acc.latency;
@@ -542,48 +669,22 @@ Cycles ModelCore::ExecuteOne() {
     case Opcode::kBge:
     case Opcode::kBltu:
     case Opcode::kBgeu: {
-      bool taken = false;
-      switch (in.op) {
-        case Opcode::kBeq:
-          taken = rs1 == rs2;
-          break;
-        case Opcode::kBne:
-          taken = rs1 != rs2;
-          break;
-        case Opcode::kBlt:
-          taken = signed1 < signed2;
-          break;
-        case Opcode::kBge:
-          taken = signed1 >= signed2;
-          break;
-        case Opcode::kBltu:
-          taken = rs1 < rs2;
-          break;
-        default:
-          taken = rs1 >= rs2;
-          break;
-      }
-      if (!predictor_.Update(pc, taken)) {
-        cost += config_.mispredict_penalty;
-        ++stats_.branch_mispredicts;
-      }
+      const bool taken = BranchTaken(in.op, rs1, rs2);
+      cost += TrainPredictor(pc, taken);
       if (taken) {
-        next_pc = pc + static_cast<u64>(static_cast<i64>(imm));
+        next_pc = pc + static_cast<u64>(imm);
       }
       break;
     }
     case Opcode::kJal:
       rd_value = pc + kInstrBytes;
       write_rd = true;
-      next_pc = pc + static_cast<u64>(static_cast<i64>(imm));
+      next_pc = pc + static_cast<u64>(imm);
       break;
     case Opcode::kJalr:
       rd_value = pc + kInstrBytes;
       write_rd = true;
-      next_pc = (rs1 + static_cast<u64>(static_cast<i64>(imm))) & ~7ULL;
-      break;
-    case Opcode::kNop:
-    case Opcode::kFence:
+      next_pc = (rs1 + static_cast<u64>(imm)) & ~7ULL;
       break;
     case Opcode::kHalt:
       state_ = RunState::kDone;
@@ -629,6 +730,8 @@ Cycles ModelCore::ExecuteOne() {
     case Opcode::kTrapret:
       next_pc = arch_.ReadCsr(Csr::kEpc);
       arch_.WriteCsr(Csr::kIenable, 1);
+      break;
+    default:  // ALU ops (above), kNop, kFence
       break;
   }
 

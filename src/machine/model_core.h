@@ -102,6 +102,18 @@ class ModelCore {
   }
   bool MatchWatchpoint(PhysAddr pa, size_t len, AccessType type, u64 pc);
   Cycles ExecuteOne();  // single instruction, no state gate
+  // Trains the predictor on a resolved branch; returns the mispredict penalty.
+  Cycles TrainPredictor(u64 pc, bool taken);
+
+  // Run's fast path. RunPlain executes plain instructions (ALU, branches,
+  // jumps, nop/fence, model-DRAM loads and stores that pass the lockdown)
+  // until `budget` cycles are used or the next instruction needs a check it
+  // skips; that instruction is left, unfetched and uncharged, for
+  // ExecuteOne. Only valid while PlainStretchAllowed(): no deliverable
+  // interrupt, no watchpoints, no pending suppress-once, bare-mode satp and
+  // a stopped timer.
+  bool PlainStretchAllowed() const;
+  Cycles RunPlain(Cycles budget);
 
   int id_;
   const MachineConfig& config_;

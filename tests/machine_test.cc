@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "src/isa/assembler.h"
 #include "src/machine/accelerator.h"
@@ -655,6 +656,364 @@ TEST_F(MachineTest, TrapAndEvictionWalkKnownAnswer) {
   ExpectCacheStats(core.caches().l1d, 24'576, 24'576, 24'064);
   ExpectCacheStats(core.caches().l2, 0, 24'580, 20'484);
   ExpectCacheStats(machine_.model_l3(), 16'384, 8'196, 0);
+}
+
+// --- Run vs Step differential ---
+//
+// Run executes plain instructions in a loop that skips the per-instruction
+// state checks whenever none is armed; Step always runs the fully checked
+// ExecuteOne. Seeded random programs run both ways, slice by slice, with
+// interrupts, watchpoints and the lockdown changed between slices, and the
+// two machines must stay identical after every slice.
+
+constexpr size_t kDiffDramBytes = 256 * 1024;
+constexpr size_t kDiffIoBytes = 64 * 1024;
+constexpr u64 kDiffCodeBase = 0x1000;
+constexpr u64 kDiffHandler = kDiffCodeBase + 8;
+constexpr u64 kDiffPageTable = 0x38000;  // identity map for programs that turn paging on
+constexpr u32 kDiffPort = 3;
+
+MachineConfig DiffConfig() {
+  MachineConfig config;
+  config.num_model_cores = 1;
+  config.num_hv_cores = 1;
+  config.model_dram_bytes = kDiffDramBytes;
+  config.io_dram_bytes = kDiffIoBytes;
+  // Tiny caches: code and data lines contend for the same sets, L3
+  // evictions back-invalidate L1 lines, and which victim a miss picks
+  // depends on the order in which one instruction's fetch and data access
+  // reached L2 and L3.
+  config.l1i = CacheConfig{512, 64, 2, 2};
+  config.l1d = CacheConfig{512, 64, 2, 4};
+  config.l2 = CacheConfig{1024, 64, 2, 12};
+  config.l3 = CacheConfig{2048, 64, 4, 40};
+  return config;
+}
+
+u64 Word(Opcode op, int rd, int rs1, int rs2, i64 imm) {
+  return static_cast<u64>(op) | static_cast<u64>(rd) << 8 | static_cast<u64>(rs1) << 16 |
+         static_cast<u64>(rs2) << 24 | static_cast<u64>(static_cast<u32>(imm)) << 32;
+}
+
+Opcode OpIn(Rng& rng, Opcode first, Opcode last) {
+  const u64 span = static_cast<u8>(last) - static_cast<u8>(first) + 1;
+  return static_cast<Opcode>(static_cast<u8>(first) + rng.NextBelow(span));
+}
+
+// An address for a load or store: model DRAM data and code, the ends of
+// model DRAM, the IO window (ring bytes and the port's doorbell), its end,
+// and the top of the address space. All fit a sign-extended ldi immediate.
+i64 DiffAddress(Rng& rng, u64 doorbell) {
+  switch (rng.NextBelow(9)) {
+    case 0:
+    case 1:
+    case 2:
+      return static_cast<i64>(0x8000 + rng.NextBelow(0x10000));
+    case 3:
+      return static_cast<i64>(kDiffCodeBase + rng.NextBelow(0x800));
+    case 4:
+      return static_cast<i64>(kDiffDramBytes - 8 + rng.NextBelow(16));
+    case 5:
+      return static_cast<i64>(kIoDramBase + rng.NextBelow(0x1000));
+    case 6:
+      return static_cast<i64>(kIoDramBase + doorbell);
+    case 7:
+      return static_cast<i64>(kIoDramBase + kDiffIoBytes - 8 + rng.NextBelow(16));
+    default:
+      return -8 + static_cast<i64>(rng.NextBelow(8));  // up to 2^64 - 1
+  }
+}
+
+// A trap handler that skips the trapping instruction, then a random body.
+// x1..x15 are scratch, x20..x23 address bases, x31 the handler's own.
+std::vector<u64> RandomDiffProgram(Rng& rng, size_t body_items, u64 doorbell) {
+  constexpr size_t kBody = 7;
+  std::vector<u64> w = {
+      Word(Opcode::kJal, 0, 0, 0, 5 * 8),  // over the handler
+      Word(Opcode::kCsrr, 31, 0, 0, static_cast<i64>(Csr::kEpc)),
+      Word(Opcode::kAddi, 31, 31, 0, 8),
+      Word(Opcode::kCsrw, 0, 31, 0, static_cast<i64>(Csr::kEpc)),
+      Word(Opcode::kTrapret, 0, 0, 0, 0),
+      Word(Opcode::kLdi, 30, 0, 0, static_cast<i64>(kDiffHandler)),
+      Word(Opcode::kCsrw, 0, 30, 0, static_cast<i64>(Csr::kTvec)),
+  };
+  // Branch and jump targets are patched once the body length is known.
+  std::vector<size_t> patch;
+  const auto reg = [&] { return static_cast<int>(rng.NextBelow(16)); };
+  const auto base = [&] { return 20 + static_cast<int>(rng.NextBelow(4)); };
+  for (size_t item = 0; item < body_items; ++item) {
+    const u64 pick = rng.NextBelow(100);
+    if (pick < 25) {
+      w.push_back(Word(OpIn(rng, Opcode::kAdd, Opcode::kRem), reg(), reg(), reg(), 0));
+    } else if (pick < 40) {
+      const i64 imm = rng.NextBool(0.5) ? rng.NextInRange(-64, 64)
+                                        : static_cast<i64>(static_cast<i32>(rng.Next()));
+      w.push_back(Word(OpIn(rng, Opcode::kAddi, Opcode::kLdi), reg(), reg(), 0, imm));
+    } else if (pick < 62) {
+      const int b = base();
+      const i64 offset = rng.NextInRange(-16, 16);
+      const u64 how = rng.NextBelow(20);
+      if (how < 11) {
+        w.push_back(Word(Opcode::kLdi, b, 0, 0, DiffAddress(rng, doorbell) - offset));
+      } else if (how < 18) {  // walk the base a few lines per pass through a loop
+        w.push_back(Word(Opcode::kAddi, b, b, 0, 64 * rng.NextInRange(-2, 8)));
+      }
+      if (rng.NextBool(0.6)) {
+        w.push_back(Word(OpIn(rng, Opcode::kLb, Opcode::kLd), reg(), b, 0, offset));
+      } else {
+        w.push_back(Word(OpIn(rng, Opcode::kSb, Opcode::kSd), 0, b, reg(), offset));
+      }
+    } else if (pick < 74) {
+      patch.push_back(w.size());
+      w.push_back(Word(OpIn(rng, Opcode::kBeq, Opcode::kBgeu), 0, reg(), reg(), 0));
+    } else if (pick < 77) {
+      patch.push_back(w.size());
+      w.push_back(Word(Opcode::kJal, rng.NextBool(0.5) ? 1 : 0, 0, 0, 0));
+    } else if (pick < 79) {
+      const int b = base();
+      if (rng.NextBool(0.7)) {  // else a stale base: usually a fetch fault
+        const u64 target = kDiffCodeBase + 8 * (kBody + rng.NextBelow(body_items));
+        w.push_back(Word(Opcode::kLdi, b, 0, 0, static_cast<i64>(target)));
+      }
+      w.push_back(Word(Opcode::kJalr, rng.NextBool(0.5) ? 1 : 0, b, 0, 0));
+    } else if (pick < 81) {
+      w.push_back(Word(rng.NextBool(0.5) ? Opcode::kNop : Opcode::kFence, 0, 0, 0, 0));
+    } else if (pick < 85) {
+      const i64 csr = rng.NextBool(0.5) ? static_cast<i64>(Csr::kCycle)
+                                        : static_cast<i64>(rng.NextBelow(10));
+      w.push_back(Word(Opcode::kCsrr, reg(), 0, 0, csr));
+    } else if (pick < 92) {
+      const int t = reg() | 1;
+      switch (rng.NextBelow(6)) {
+        case 0:
+          w.push_back(Word(Opcode::kLdi, t, 0, 0, rng.NextInRange(1, 400)));
+          w.push_back(Word(Opcode::kCsrw, 0, t, 0, static_cast<i64>(Csr::kTimer)));
+          break;
+        case 1:
+          w.push_back(Word(Opcode::kLdi, t, 0, 0, rng.NextInRange(0, 1)));
+          w.push_back(Word(Opcode::kCsrw, 0, t, 0, static_cast<i64>(Csr::kIenable)));
+          break;
+        case 2:
+          w.push_back(Word(Opcode::kLdi, t, 0, 0,
+                           rng.NextBool(0.8) ? static_cast<i64>(kDiffHandler) : 0));
+          w.push_back(Word(Opcode::kCsrw, 0, t, 0, static_cast<i64>(Csr::kTvec)));
+          break;
+        case 3:  // paging on, over the identity map
+          w.push_back(Word(Opcode::kLdi, t, 0, 0, 1));
+          w.push_back(Word(Opcode::kSlli, t, t, 0, 63));
+          w.push_back(Word(Opcode::kOri, t, t, 0, static_cast<i64>(kDiffPageTable)));
+          w.push_back(Word(Opcode::kCsrw, 0, t, 0, static_cast<i64>(Csr::kSatp)));
+          break;
+        case 4:  // paging off
+          w.push_back(Word(Opcode::kCsrw, 0, 0, 0, static_cast<i64>(Csr::kSatp)));
+          break;
+        default: {  // read-only or nonexistent: illegal
+          const u64 csr = static_cast<u64>(Csr::kCycle) + rng.NextBelow(4);
+          w.push_back(Word(Opcode::kCsrw, 0, t, 0, static_cast<i64>(csr)));
+          break;
+        }
+      }
+    } else if (pick < 94) {
+      w.push_back(Word(Opcode::kTrapret, 0, 0, 0, 0));
+    } else if (pick < 96) {
+      w.push_back(Word(Opcode::kEbreak, 0, 0, 0, 0));
+    } else if (pick < 99) {
+      // A register index past x31, or an unassigned opcode (in a gap
+      // between the classes or past the last) with valid registers.
+      constexpr std::array<u8, 6> kUnassigned = {0x00, 0x10, 0x30, 0x48, 0x7F, 0xFF};
+      const auto bad_op = static_cast<Opcode>(kUnassigned[rng.NextBelow(kUnassigned.size())]);
+      w.push_back(rng.NextBool(0.5) ? Word(Opcode::kAdd, 40, 1, 2, 0)
+                                    : Word(bad_op, reg(), reg(), reg(), 0));
+    } else {
+      w.push_back(Word(Opcode::kHalt, 0, 0, 0, 0));
+    }
+  }
+  w.push_back(Word(Opcode::kHalt, 0, 0, 0, 0));
+  for (const size_t at : patch) {
+    const size_t target = kBody + rng.NextBelow(w.size() - kBody);
+    // Now and then half an instruction off: an unaligned, usually illegal, fetch.
+    const i64 skew = rng.NextBool(0.03) ? 4 : 0;
+    const i64 imm = (static_cast<i64>(target) - static_cast<i64>(at)) * 8 + skew;
+    w[at] = (w[at] & 0xFFFF'FFFFULL) | static_cast<u64>(static_cast<u32>(imm)) << 32;
+  }
+  return w;
+}
+
+// One machine plus what the differential feeds it.
+struct DiffRig {
+  SimClock clock;
+  EventTrace trace;
+  Machine machine{DiffConfig(), clock, trace};
+  u64 doorbell = 0;
+
+  DiffRig() { doorbell = machine.io_dram().AllocatePortRegion(kDiffPort)->doorbell; }
+
+  void Load(const std::vector<u64>& program) {
+    Dram& dram = machine.model_dram();
+    for (size_t i = 0; i < program.size(); ++i) {
+      dram.Write64(kDiffCodeBase + 8 * i, program[i]);
+    }
+    // Root -> one leaf for model DRAM and one for the first IO pages.
+    const u64 leaf_dram = kDiffPageTable + kPageSize;
+    const u64 leaf_io = kDiffPageTable + 2 * kPageSize;
+    dram.Write64(kDiffPageTable, MakePte(leaf_dram, false, false, false));
+    dram.Write64(kDiffPageTable + 8 * (kIoDramBase >> 22),
+                 MakePte(leaf_io, false, false, false));
+    for (u64 page = 0; page < kDiffDramBytes / kPageSize; ++page) {
+      dram.Write64(leaf_dram + 8 * page, MakePte(page * kPageSize, true, true, true));
+    }
+    for (u64 page = 0; page < kDiffIoBytes / kPageSize; ++page) {
+      dram.Write64(leaf_io + 8 * page,
+                   MakePte(kIoDramBase + page * kPageSize, true, true, false));
+    }
+    core().PowerUpCore(kDiffCodeBase);
+    core().Resume().ok();
+  }
+
+  ModelCore& core() { return machine.model_core(0); }
+};
+
+Cycles StepUpTo(ModelCore& core, Cycles budget) {
+  Cycles consumed = 0;
+  while (consumed < budget && core.state() == RunState::kRunning) {
+    consumed += core.Step();
+  }
+  return consumed;
+}
+
+bool SameCache(const Cache& a, const Cache& b) {
+  return a.stats().hits == b.stats().hits && a.stats().misses == b.stats().misses &&
+         a.stats().evictions == b.stats().evictions;
+}
+
+bool SameEvents(const std::vector<CoreEvent>& a, const std::vector<CoreEvent>& b) {
+  const auto same = [](const CoreEvent& x, const CoreEvent& y) {
+    return x.core_id == y.core_id && x.watchpoint_id == y.watchpoint_id &&
+           x.address == y.address && x.pc == y.pc && x.time == y.time;
+  };
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), same);
+}
+
+::testing::AssertionResult SameMachine(DiffRig& run, DiffRig& step) {
+  ModelCore& a = run.core();
+  ModelCore& b = step.core();
+  if (a.state() != b.state() || a.halt_reason() != b.halt_reason() ||
+      a.fault_cause() != b.fault_cause()) {
+    return ::testing::AssertionFailure()
+           << "run state " << RunStateName(a.state()) << "/"
+           << HaltReasonName(a.halt_reason()) << " vs step " << RunStateName(b.state())
+           << "/" << HaltReasonName(b.halt_reason());
+  }
+  if (a.arch().pc != b.arch().pc || a.arch().x != b.arch().x ||
+      a.arch().csr != b.arch().csr) {
+    return ::testing::AssertionFailure()
+           << "arch state: pc " << a.arch().pc << " vs " << b.arch().pc;
+  }
+  const CoreStats& sa = a.stats();
+  const CoreStats& sb = b.stats();
+  if (sa.instructions != sb.instructions || sa.cycles != sb.cycles ||
+      sa.traps != sb.traps || sa.branch_mispredicts != sb.branch_mispredicts ||
+      sa.doorbell_stores != sb.doorbell_stores) {
+    return ::testing::AssertionFailure()
+           << "core stats: instructions " << sa.instructions << " vs " << sb.instructions
+           << ", cycles " << sa.cycles << " vs " << sb.cycles;
+  }
+  if (!SameCache(a.caches().l1i, b.caches().l1i) ||
+      !SameCache(a.caches().l1d, b.caches().l1d) ||
+      !SameCache(a.caches().l2, b.caches().l2) ||
+      !SameCache(run.machine.model_l3(), step.machine.model_l3())) {
+    return ::testing::AssertionFailure() << "cache stats";
+  }
+  if (a.tlb().hits != b.tlb().hits || a.tlb().misses != b.tlb().misses) {
+    return ::testing::AssertionFailure() << "tlb stats";
+  }
+  if (!SameEvents(a.TakeEvents(), b.TakeEvents())) {
+    return ::testing::AssertionFailure() << "watchpoint events";
+  }
+  const auto same_bytes = [](const Dram& x, const Dram& y) {
+    return std::equal(x.raw().begin(), x.raw().end(), y.raw().begin(), y.raw().end());
+  };
+  if (!same_bytes(run.machine.model_dram(), step.machine.model_dram()) ||
+      !same_bytes(run.machine.io_dram().dram(), step.machine.io_dram().dram())) {
+    return ::testing::AssertionFailure() << "DRAM contents";
+  }
+  if (run.machine.hv_core(0).pending_irq_count() !=
+          step.machine.hv_core(0).pending_irq_count() ||
+      TraceDigestHash(run.trace) != TraceDigestHash(step.trace)) {
+    return ::testing::AssertionFailure() << "doorbells or trace";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(RunStepDifferentialTest, RunSlicesMatchSteppingOnRandomPrograms) {
+  constexpr int kPrograms = 300;
+  constexpr int kSlices = 40;
+  u64 run_instructions = 0;
+  for (int seed = 1; seed <= kPrograms; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "program seed " << seed);
+    Rng rng(static_cast<u64>(seed));
+    DiffRig run;
+    DiffRig step;
+    const std::vector<u64> program =
+        RandomDiffProgram(rng, 40 + rng.NextBelow(80), run.doorbell);
+    run.Load(program);
+    step.Load(program);
+    const u64 code_end = kDiffCodeBase + 8 * program.size();
+    for (int slice = 0; slice < kSlices; ++slice) {
+      SCOPED_TRACE(::testing::Message() << "slice " << slice);
+      // The same changes to both machines between slices. A watchpoint
+      // over the whole program halts at the next checked fetch; a lockdown
+      // window may end inside the program.
+      const bool irq = rng.NextBool(0.15);
+      const bool add = rng.NextBool(0.2);
+      const bool whole = rng.NextBool(0.3);
+      const u64 lo = rng.NextBool(0.5) ? kDiffCodeBase + 8 * rng.NextBelow(program.size())
+                                       : 0x8000 + rng.NextBelow(0x10000);
+      const u64 hi = lo + 1 + rng.NextBelow(64);
+      const bool on_exec = rng.NextBool(0.5);
+      const bool on_read = rng.NextBool(0.5);
+      const bool clear = rng.NextBool(0.2);
+      const bool relock = rng.NextBool(0.15);
+      ExecLockdown lockdown;
+      if (rng.NextBool(0.5)) {
+        lockdown = ExecLockdown{true, kDiffCodeBase,
+                                kDiffCodeBase + 8 * (1 + rng.NextBelow(program.size()))};
+      }
+      for (DiffRig* rig : {&run, &step}) {
+        ModelCore& core = rig->core();
+        if (irq) {
+          core.RaiseExternalInterrupt(TrapCause::kPortCompletion);
+        }
+        if (add && whole) {
+          core.AddWatchpoint(kDiffCodeBase, code_end, true, false, false);
+        } else if (add) {
+          core.AddWatchpoint(lo, hi, on_exec, on_read, !on_read);
+        }
+        if (clear) {
+          core.ClearWatchpoints();
+        }
+        if (relock) {
+          core.SetLockdown(lockdown);
+        }
+        if (core.state() == RunState::kHalted) {
+          ASSERT_TRUE(core.Resume().ok());
+        }
+      }
+      const Cycles budget = 1 + rng.NextBelow(3000);
+      const u64 before = run.core().stats().instructions;
+      const Cycles run_cycles = run.core().Run(budget);
+      const Cycles step_cycles = StepUpTo(step.core(), budget);
+      run_instructions += run.core().stats().instructions - before;
+      ASSERT_EQ(run_cycles, step_cycles);
+      ASSERT_TRUE(SameMachine(run, step));
+      const RunState state = run.core().state();
+      if (state == RunState::kDone || state == RunState::kFaulted) {
+        break;
+      }
+    }
+  }
+  // The sweep must actually run code, not stop at the first instruction.
+  EXPECT_GT(run_instructions, 100'000u);
 }
 
 // --- IO DRAM ring tests ---
